@@ -14,7 +14,7 @@ RACE_PKGS := ./internal/serve/... ./internal/oracle/... ./internal/store/... \
              ./internal/bicc/ ./internal/spanning/ ./internal/ldd/ \
              ./internal/graph/
 
-.PHONY: build test race bench bench-record bench-smoke lint serve smoke smoke-churn smoke-multitenant smoke-restart ci
+.PHONY: build test race bench bench-record bench-smoke bench-baseline bench-check lint serve smoke smoke-churn smoke-multitenant smoke-restart ci
 
 build:
 	$(GO) build ./...
@@ -31,23 +31,47 @@ bench:
 	$(GO) test -bench . -benchtime 1x -run '^$$' ./...
 
 # Regenerate the committed BENCH_*.json files at the repo root: the pinned
-# engine sweep on both dispatch paths (fast + legacy baseline) and the HTTP
-# sweep. Graph shapes and the uniform/powerlaw asymmetric costs are
+# engine sweep and the HTTP sweep. Graph shapes and the uniform/powerlaw asymmetric costs are
 # bit-stable across machines; churn asym fields race the rebuilder and are
 # only approximately stable; QPS/latency/alloc fields vary by host (see
 # docs/benchmark.md).
 bench-record:
-	$(GO) run ./cmd/wecbench -exp bench -benchlegacy -benchout .
+	$(GO) run ./cmd/wecbench -exp bench -benchout .
 
-# Seconds-scale version of bench-record: tiny sizes and query counts, all
-# three BENCH files emitted to a scratch dir (BENCH_SMOKE_OUT overrides)
+# Seconds-scale version of bench-record: tiny sizes and query counts, both
+# BENCH files emitted to a scratch dir (BENCH_SMOKE_OUT overrides)
 # and schema-validated — the harness exits nonzero on a malformed document.
 # Never writes to the repo root, so the committed files stay untouched.
 bench-smoke:
 	@out=$${BENCH_SMOKE_OUT:-$$(mktemp -d)}; \
-	$(GO) run ./cmd/wecbench -exp bench -benchlegacy \
+	$(GO) run ./cmd/wecbench -exp bench \
 	  -benchsizes 256,512 -benchqueries 768 -benchhttpqueries 768 \
 	  -benchbatch 64 -benchout $$out && ls -l $$out/BENCH_*.json
+
+# The "before" half of a before/after pair: run the pinned sweep of an
+# earlier revision from a temporary git worktree into a scratch dir, then
+# compare against it without any baseline code in the tree:
+#   make bench-baseline REV=$$(git merge-base HEAD main)
+#   go run ./cmd/wecbench -exp bench -benchout <dir> \
+#     -benchbase <baseline dir>/BENCH_query_hot_path.json
+# ARGS passes extra wecbench flags to the baseline run (e.g. smaller
+# -benchsizes); pass the same ones to the comparison run.
+bench-baseline:
+	@test -n "$(REV)" || { echo "usage: make bench-baseline REV=<rev>" >&2; exit 2; }
+	@out=$$(mktemp -d) && wt=$$(mktemp -d) && \
+	git worktree add --detach $$wt $(REV) >/dev/null && \
+	(cd $$wt && $(GO) run ./cmd/wecbench -exp bench -benchout $$out $(ARGS)); \
+	rc=$$?; git worktree remove --force $$wt; rm -rf $$wt; \
+	if [ $$rc -eq 0 ]; then echo "baseline of $(REV) written to $$out"; ls -l $$out/BENCH_*.json; fi; \
+	exit $$rc
+
+# Vet and test the benchmark module. perfbench/ is a nested Go module, so
+# the root `go vet ./...` and `go test ./...` never compile it; this is the
+# gate that a serving-API change cannot silently break perfbench/run.sh.
+# Same module flags as run.sh.
+bench-check:
+	cd perfbench && GOFLAGS=-mod=mod GOWORK=off $(GO) vet ./... && \
+	  GOFLAGS=-mod=mod GOWORK=off $(GO) test ./...
 
 # gofmt + vet + the repository's own invariant analyzers (weclint: metered
 # access, snapshot immutability, typed errors, the zero-alloc hot path,
@@ -104,4 +128,4 @@ smoke-restart:
 	$(GO) run -race ./cmd/wecbench -exp restart -restartchurn 4 -oracledbin $$tmp/oracled; \
 	rc=$$?; rm -rf $$tmp; exit $$rc
 
-ci: lint build test race bench bench-smoke smoke smoke-churn smoke-multitenant smoke-restart
+ci: lint build test race bench bench-smoke bench-check smoke smoke-churn smoke-multitenant smoke-restart

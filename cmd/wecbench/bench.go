@@ -33,17 +33,17 @@ import (
 // docs/benchmark.md is the methodology page: schema glossary, how to read
 // the curves, and the before/after rule for perf PRs.
 //
-// With -benchlegacy the engine sweep also runs under
-// serve.Config.LegacyDispatch — the boxed pre-optimization dispatch path —
-// producing BENCH_query_hot_path_legacy.json, the "before" of every
-// before/after pair.
+// With -benchbase FILE the run also prints before/after deltas of the
+// engine sweep against an earlier BENCH_query_hot_path.json — typically one
+// `make bench-baseline REV=<rev>` recorded from a worktree of the merge
+// base, so a before/after pair costs no product code.
 var (
 	benchOut         = flag.String("benchout", ".", "bench mode: directory BENCH_*.json files are written to")
 	benchSizes       = flag.String("benchsizes", "4096,8192,16384", "bench mode: comma-separated graph sizes (each multiplied by -scale)")
 	benchQueries     = flag.Int("benchqueries", 4096, "bench mode: queries per sweep point (engine sweep)")
 	benchBatch       = flag.Int("benchbatch", 256, "bench mode: queries per batch")
 	benchOmega       = flag.Int("benchomega", 64, "bench mode: asymmetric write cost ω")
-	benchLegacy      = flag.Bool("benchlegacy", false, "bench mode: also record the legacy-dispatch baseline sweep")
+	benchBase        = flag.String("benchbase", "", "bench mode: earlier BENCH_query_hot_path.json to print before/after deltas against (see make bench-baseline)")
 	benchHTTPQueries = flag.Int("benchhttpqueries", 4096, "bench mode: queries per sweep point (HTTP sweep)")
 	benchHTTPConc    = flag.Int("benchhttpconc", 4, "bench mode: concurrent HTTP clients")
 	benchDist        = flag.String("benchdist", "uniform", "bench mode: query endpoint distribution, uniform or zipf (hot-pair skew; exercises the result cache)")
@@ -53,11 +53,10 @@ var (
 // change to the JSON shape — fields added, removed, renamed, or retyped —
 // must bump it; the golden-file test (bench_test.go) enforces that.
 //
-// v3 added the churn family's update-throughput telemetry (batches/sec,
-// published epochs, per-oracle rebuild strategies and publish-path writes
-// per epoch) and pinned the legacy sweep to serve.Config.EagerRebuilds —
-// the pre-deferral baseline that rebuilds bicc on every publish.
-const benchSchemaVersion = 3
+// v4 dropped the in-tree baseline sweep, its config flag and the "legacy"
+// dispatch value: baselines come from earlier revisions via make
+// bench-baseline and -benchbase (docs/benchmark.md has the history).
+const benchSchemaVersion = 4
 
 // The pinned sweep axes. Families shape the workload: uniform is a random
 // 3-regular graph, powerlaw a degree-bounded preferential-attachment graph
@@ -92,9 +91,9 @@ type benchDoc struct {
 // benchConfig records the sweep spec a document was produced under — the
 // reproducibility contract of make bench-record.
 type benchConfig struct {
-	// Dispatch names the measured path: "fast" (the zero-alloc
-	// FastAnswerer path), "legacy" (boxed pre-optimization dispatch), or
-	// "http" (the full HTTP /batch surface over the fast path).
+	// Dispatch names the measured path: "fast" (in-process Engine.Do over
+	// the zero-alloc QueryOracle.Answer path) or "http" (the full HTTP
+	// /batch surface over the same path).
 	Dispatch        string   `json:"dispatch"`
 	Omega           int      `json:"omega"`
 	K               int      `json:"k"`
@@ -115,11 +114,6 @@ type benchConfig struct {
 	// HTTPClients is the concurrent-client count of the HTTP sweep (0 for
 	// engine sweeps).
 	HTTPClients int `json:"http_clients,omitempty"`
-	// EagerRebuilds records serve.Config.EagerRebuilds: true pins
-	// deferrable oracles (bicc) to a publish-path rebuild every epoch —
-	// the pre-deferral baseline the legacy sweep measures. The fast sweep
-	// leaves it false, so churn points show the lazy path's publish cost.
-	EagerRebuilds bool `json:"eager_rebuilds,omitempty"`
 }
 
 // benchPoint is one sweep point: one (size, family, mix) cell's measured
@@ -152,8 +146,8 @@ type benchPoint struct {
 	// the per-oracle strategy histogram over those publishes (oracle ->
 	// strategy -> count) and RebuildWritesPerBatch each oracle's mean
 	// publish-path asymmetric writes per published epoch. These are the
-	// before/after axis of the lazy-bicc story: the eager baseline pays a
-	// full bicc build every publish, the lazy path writes nothing there.
+	// before/after axis of publish-path work: a deferred (lazy) bicc writes
+	// nothing there, a rebuilt one pays a full build per publish.
 	ChurnEpochs           int64                       `json:"churn_epochs,omitempty"`
 	RebuildStrategies     map[string]map[string]int64 `json:"rebuild_strategies,omitempty"`
 	RebuildWritesPerBatch map[string]float64          `json:"rebuild_writes_per_batch,omitempty"`
@@ -191,14 +185,39 @@ func benchRun(scale int) {
 		os.Exit(2)
 	}
 
-	doc := benchEngineSweep(sizes, false)
+	var base benchDoc
+	if *benchBase != "" {
+		if base, err = readBenchBase(*benchBase); err != nil {
+			fmt.Fprintf(os.Stderr, "bench: -benchbase: %v\n", err)
+			os.Exit(2)
+		}
+	}
+
+	doc := benchEngineSweep(sizes)
 	emitBench(doc)
-	if *benchLegacy {
-		legacy := benchEngineSweep(sizes, true)
-		emitBench(legacy)
-		benchCompare(legacy, doc)
+	if *benchBase != "" {
+		benchCompare(base, doc)
 	}
 	emitBench(benchHTTPSweep(sizes))
+}
+
+// readBenchBase loads the -benchbase document: an engine-sweep file from an
+// earlier run. Any schema version is accepted — fields a newer schema
+// dropped are ignored, and ones an older file lacks read as zero, which
+// benchCompare prints as "-" or skips.
+func readBenchBase(path string) (benchDoc, error) {
+	var d benchDoc
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		return d, err
+	}
+	if err := json.Unmarshal(raw, &d); err != nil {
+		return d, fmt.Errorf("%s: %v", path, err)
+	}
+	if d.Experiment != "query_hot_path" || len(d.Points) == 0 {
+		return d, fmt.Errorf("%s: want a query_hot_path document with points, got experiment %q with %d points", path, d.Experiment, len(d.Points))
+	}
+	return d, nil
 }
 
 // emitBench validates and writes one document, exiting nonzero on either
@@ -216,20 +235,20 @@ func emitBench(doc benchDoc) {
 	fmt.Printf("wrote %s (%d points)\n", path, len(doc.Points))
 }
 
-// benchCompare prints the headline before/after deltas between the legacy
-// and fast engine sweeps (matched points only).
-func benchCompare(legacy, fast benchDoc) {
+// benchCompare prints the headline before/after deltas between a baseline
+// engine sweep and the current one (matched points only).
+func benchCompare(base, cur benchDoc) {
 	type key struct {
 		family, mix string
 		n           int
 	}
 	idx := map[key]benchPoint{}
-	for _, p := range legacy.Points {
+	for _, p := range base.Points {
 		idx[key{p.Family, p.Mix, p.N}] = p
 	}
 	fmt.Printf("\n%-9s %-6s %8s | %13s %13s | %10s %10s\n",
 		"family", "mix", "n", "allocs/q", "bytes/q", "p95", "QPS")
-	for _, p := range fast.Points {
+	for _, p := range cur.Points {
 		lp, ok := idx[key{p.Family, p.Mix, p.N}]
 		if !ok {
 			continue
@@ -245,10 +264,10 @@ func benchCompare(legacy, fast benchDoc) {
 			p.QPS/lp.QPS)
 	}
 	// The churn family's publish-cost story: total publish-path writes per
-	// published epoch, eager baseline vs the lazy path. The bicc column is
-	// where deferral shows — the baseline pays a full build every epoch.
+	// published epoch, baseline vs current. The bicc column is where a
+	// change to rebuild deferral shows.
 	printed := false
-	for _, p := range fast.Points {
+	for _, p := range cur.Points {
 		if p.Family != "churn" || len(p.RebuildWritesPerBatch) == 0 {
 			continue
 		}
@@ -268,9 +287,12 @@ func benchCompare(legacy, fast benchDoc) {
 		for _, w := range p.RebuildWritesPerBatch {
 			ftot += w
 		}
-		drop := "inf"
-		if ftot > 0 {
+		drop := "-"
+		switch {
+		case ftot > 0:
 			drop = fmt.Sprintf("%.1fx", ltot/ftot)
+		case ltot > 0:
+			drop = "inf"
 		}
 		fmt.Printf("%-9s %-6s %8d | %7.0f→%-8.0f %7.0f→%-8.0f | %10s\n",
 			p.Family, p.Mix, p.N,
@@ -403,21 +425,13 @@ func benchBatches(seed uint64, n, total, batch int, frac float64, dist string) [
 
 // benchEngineSweep measures the in-process serving hot path (Engine.Do)
 // across the full size × family × mix grid.
-func benchEngineSweep(sizes []int, legacy bool) benchDoc {
-	dispatch := "fast"
-	experiment := "query_hot_path"
-	desc := "in-process serve.Engine.Do over the zero-alloc FastAnswerer dispatch path with deferred (lazy) bicc rebuilds"
-	if legacy {
-		dispatch = "legacy"
-		experiment = "query_hot_path_legacy"
-		desc = "in-process serve.Engine.Do over the boxed legacy dispatch path with eager per-epoch rebuilds (pre-optimization baseline)"
-	}
+func benchEngineSweep(sizes []int) benchDoc {
 	doc := benchDoc{
 		SchemaVersion: benchSchemaVersion,
-		Experiment:    experiment,
-		Description:   desc,
+		Experiment:    "query_hot_path",
+		Description:   "in-process serve.Engine.Do over the zero-alloc QueryOracle.Answer dispatch path with deferred (lazy) bicc rebuilds",
 		Config: benchConfig{
-			Dispatch:        dispatch,
+			Dispatch:        "fast",
 			Omega:           *benchOmega,
 			Seed:            benchEngineSeed,
 			QueriesPerPoint: *benchQueries,
@@ -427,22 +441,16 @@ func benchEngineSweep(sizes []int, legacy bool) benchDoc {
 			Mixes:           benchMixes,
 			QueryDist:       *benchDist,
 			GoMaxProcs:      runtime.GOMAXPROCS(0),
-			EagerRebuilds:   legacy,
 		},
 	}
-	fmt.Printf("\nengine sweep (%s dispatch): %d sizes × %d families × %d mixes, %d queries/point, ω=%d\n",
-		dispatch, len(sizes), len(benchFamilies), len(benchMixes), *benchQueries, *benchOmega)
+	fmt.Printf("\nengine sweep: %d sizes × %d families × %d mixes, %d queries/point, ω=%d\n",
+		len(sizes), len(benchFamilies), len(benchMixes), *benchQueries, *benchOmega)
 	fmt.Printf("%-9s %-6s %8s %8s | %10s %10s %10s | %9s %10s\n",
 		"family", "mix", "n", "m", "QPS", "p50", "p95", "allocs/q", "bytes/q")
 	for si, n := range sizes {
 		for fi, family := range benchFamilies {
 			g := benchGraph(family, n)
-			cfg := serve.Config{
-				Omega:          *benchOmega,
-				Seed:           benchEngineSeed,
-				LegacyDispatch: legacy,
-				EagerRebuilds:  legacy,
-			}
+			cfg := serve.Config{Omega: *benchOmega, Seed: benchEngineSeed}
 			var accum *benchRebuildAccum
 			if family == "churn" {
 				accum = &benchRebuildAccum{}
@@ -784,7 +792,7 @@ func validateBenchDoc(d benchDoc) error {
 		return fmt.Errorf("empty experiment name")
 	}
 	switch d.Config.Dispatch {
-	case "fast", "legacy", "http":
+	case "fast", "http":
 	default:
 		return fmt.Errorf("unknown dispatch %q", d.Config.Dispatch)
 	}

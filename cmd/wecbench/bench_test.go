@@ -8,13 +8,13 @@ import (
 )
 
 // goldenDoc is a fixed synthetic BENCH document exercising every schema
-// field. Its serialized form is pinned in testdata/bench_schema_v3.golden.json.
+// field. Its serialized form is pinned in testdata/bench_schema_v4.golden.json.
 func goldenDoc() benchDoc {
 	allocs, bytes := 0.25, 48.5
 	return benchDoc{
 		SchemaVersion: benchSchemaVersion,
 		Experiment:    "golden",
-		Description:   "synthetic document pinning schema v3",
+		Description:   "synthetic document pinning schema v4",
 		Config: benchConfig{
 			Dispatch:        "fast",
 			Omega:           64,
@@ -28,7 +28,6 @@ func goldenDoc() benchDoc {
 			QueryDist:       "uniform",
 			GoMaxProcs:      4,
 			HTTPClients:     2,
-			EagerRebuilds:   true,
 		},
 		Points: []benchPoint{
 			{
@@ -70,7 +69,7 @@ func TestBenchGoldenSchema(t *testing.T) {
 		t.Fatal(err)
 	}
 	buf = append(buf, '\n')
-	golden := filepath.Join("testdata", "bench_schema_v3.golden.json")
+	golden := filepath.Join("testdata", "bench_schema_v4.golden.json")
 	if os.Getenv("UPDATE_GOLDEN") != "" {
 		if err := os.MkdirAll("testdata", 0o755); err != nil {
 			t.Fatal(err)
@@ -145,7 +144,7 @@ func TestBenchTinySweep(t *testing.T) {
 	defer restore(benchBatch, 32)()
 	defer restore(benchOmega, 16)()
 
-	doc := benchEngineSweep([]int{64}, false)
+	doc := benchEngineSweep([]int{64})
 	if err := validateBenchDoc(doc); err != nil {
 		t.Fatalf("tiny sweep produced invalid document: %v", err)
 	}
@@ -173,5 +172,19 @@ func TestBenchTinySweep(t *testing.T) {
 	}
 	if back.Experiment != "query_hot_path" || path != filepath.Join(dir, "BENCH_query_hot_path.json") {
 		t.Errorf("unexpected experiment/path: %s %s", back.Experiment, path)
+	}
+
+	// The emitted file is a valid -benchbase; other experiments are not.
+	base, err := readBenchBase(path)
+	if err != nil {
+		t.Fatalf("emitted file rejected as -benchbase: %v", err)
+	}
+	benchCompare(base, doc)
+	other := filepath.Join(dir, "other.json")
+	if err := os.WriteFile(other, []byte(`{"experiment":"serve_http","points":[{}]}`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := readBenchBase(other); err == nil {
+		t.Error("serve_http document accepted as -benchbase")
 	}
 }

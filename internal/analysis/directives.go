@@ -33,7 +33,7 @@ const (
 	// noallocpath checks its body.
 	DirNoAlloc = "noalloc"
 	// DirAlloc marks a statement inside a //wec:noalloc function that is
-	// allowed to allocate (error paths, legacy nil-scratch branches,
+	// allowed to allocate (error paths, cold nil-scratch branches,
 	// amortized buffer growth); the reason is mandatory.
 	DirAlloc = "alloc"
 )

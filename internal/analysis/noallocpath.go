@@ -6,9 +6,10 @@ import (
 	"go/types"
 )
 
-// NoAllocPath checks functions annotated //wec:noalloc — the FastAnswerer
-// query hot path (serve.Engine.answer, the adapters' AnswerFast, the conn
-// QueryS/ConnectedS pair, the decomp scratch BFS) whose steady-state
+// NoAllocPath checks functions annotated //wec:noalloc — the
+// QueryOracle.Answer query hot path (serve.Engine.answer, the adapters'
+// Answer, the conn QueryS/ConnectedS pair, the decomp scratch BFS) whose
+// steady-state
 // "0 allocs/query" result is recorded in BENCH_query_hot_path.json — for
 // allocation-shaped constructs:
 //
@@ -24,7 +25,7 @@ import (
 //     passed directly as a call argument is presumed non-escaping).
 //
 // A construct that is deliberately off the steady-state path — an error
-// branch, the legacy nil-scratch mode, amortized high-water buffer growth —
+// branch, the cold nil-scratch mode, amortized high-water buffer growth —
 // carries //wec:alloc <reason> on its line. The static rule is
 // approximate in both directions (it cannot see escape analysis), so the
 // testing.AllocsPerRun gate in internal/serve provides the runtime ground

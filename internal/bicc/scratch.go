@@ -18,7 +18,7 @@ type treeNbr struct {
 // buffers of buildLocal. A serving worker allocates one Scratch and
 // threads it through every query it answers; nil everywhere means
 // "allocate per call", the paper-pristine original behavior kept by the
-// reference/equivalence tests and the legacy dispatch path.
+// reference/equivalence tests.
 //
 // A Scratch is not safe for concurrent use; it is worker-local by design.
 // It depends only on the oracle's type, never on a particular snapshot, so

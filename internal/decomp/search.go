@@ -19,8 +19,7 @@ import (
 // buffers: a serving worker allocates one Scratch and threads it through
 // every query it answers, making the steady-state query path allocation
 // free. A nil *Scratch everywhere means "allocate per call", the original
-// behavior — the paper-table experiments and the serving layer's legacy
-// dispatch path keep it.
+// behavior — the paper-table experiments keep it.
 //
 // A Scratch is not safe for concurrent use; it is worker-local by design.
 // Reuse does not change charged costs: meters see exactly the reads/ops a

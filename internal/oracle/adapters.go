@@ -14,7 +14,7 @@ import (
 
 // This file adapts the two paper oracles to the QueryOracle interface and
 // registers them as the built-in factories. The adapters are thin by
-// design: they translate Query/Answer and forward the caller's meter and
+// design: they translate Query/AnswerVal and forward the caller's meter and
 // tracker untouched, so the cost charged per query is exactly what a direct
 // oracle call would charge.
 
@@ -26,29 +26,15 @@ import (
 // (ComponentCounter).
 type ConnAdapter struct{ O *conn.Oracle }
 
-// Answer dispatches connected/component queries.
-func (a ConnAdapter) Answer(m *asym.Meter, sym *asym.SymTracker, q Query) (Answer, error) {
-	switch q.Kind {
-	case KindConnected:
-		v := a.O.Connected(m, sym, q.U, q.V)
-		return Answer{Bool: &v}, nil
-	case KindComponent:
-		v := a.O.Query(m, sym, q.U)
-		return Answer{Label: &v}, nil
-	}
-	return Answer{}, fmt.Errorf("oracle: conn does not serve kind %q", q.Kind)
-}
-
-// NewScratch returns the reusable decomposition-search workspace of the
-// zero-alloc fast path (FastAnswerer).
+// NewScratch returns the reusable decomposition-search workspace Answer
+// takes.
 func (a ConnAdapter) NewScratch() any { return decomp.NewScratch() }
 
-// AnswerFast answers connected/component queries without boxing the result,
-// reusing the worker's search scratch (FastAnswerer). Equivalent to Answer
-// in answers, errors, and charged costs.
+// Answer answers connected/component queries, reusing the worker's search
+// scratch (nil allocates per call; the charged costs are the same).
 //
 //wec:noalloc
-func (a ConnAdapter) AnswerFast(m *asym.Meter, sym *asym.SymTracker, q Query, scratch any) (AnswerVal, error) {
+func (a ConnAdapter) Answer(m *asym.Meter, sym *asym.SymTracker, q Query, scratch any) (AnswerVal, error) {
 	sc, _ := scratch.(*decomp.Scratch)
 	switch q.Kind {
 	case KindConnected:
@@ -123,8 +109,8 @@ func (a ConnAdapter) Remap() map[int32]int32 { return a.O.Remap() }
 // structure-preserving edits (InsertionApplier/DeletionApplier via the
 // block-cut-tree predicates in internal/bicc), refusing everything else
 // with ErrNeedsRebuild so the engine steps down to the lazy rung. Cache,
-// when non-nil, memoizes materialized cluster local graphs for the fast
-// path; it is created fresh by the factory on every (re)build, so it can
+// when non-nil, memoizes materialized cluster local graphs for Answer;
+// it is created fresh by the factory on every (re)build, so it can
 // never serve a stale epoch, and hits replay the fill-time charges so
 // telemetry matches the uncached path exactly.
 type BiccAdapter struct {
@@ -132,39 +118,20 @@ type BiccAdapter struct {
 	Cache *bicc.ClusterCache
 }
 
-// Answer dispatches bridge/articulation/biconnected/2ecc queries.
-func (a BiccAdapter) Answer(m *asym.Meter, sym *asym.SymTracker, q Query) (Answer, error) {
-	switch q.Kind {
-	case KindBridge:
-		v := a.O.IsBridge(m, sym, q.U, q.V)
-		return Answer{Bool: &v}, nil
-	case KindArticulation:
-		v := a.O.IsArticulation(m, sym, q.U)
-		return Answer{Bool: &v}, nil
-	case KindBiconnected:
-		v := a.O.Biconnected(m, sym, q.U, q.V)
-		return Answer{Bool: &v}, nil
-	case KindTwoEdgeConnected:
-		v := a.O.OneEdgeConnected(m, sym, q.U, q.V)
-		return Answer{Bool: &v}, nil
-	}
-	return Answer{}, fmt.Errorf("oracle: bicc does not serve kind %q", q.Kind)
-}
-
 // NumBCC reports the snapshot's biconnected-component count.
 func (a BiccAdapter) NumBCC() int { return a.O.NumBCC }
 
-// NewScratch returns the reusable local-graph build workspace of the
-// zero-alloc fast path (FastAnswerer).
+// NewScratch returns the reusable local-graph build workspace Answer
+// takes.
 func (a BiccAdapter) NewScratch() any { return bicc.NewScratch() }
 
-// AnswerFast answers the biconnectivity kinds without boxing the result
-// (FastAnswerer), reusing the worker's build scratch and the adapter's
-// cluster local-graph cache. Equivalent to Answer in answers, errors, and
-// charged costs (cache hits replay the fill-time charges).
+// Answer answers the biconnectivity kinds, reusing the worker's build
+// scratch and the adapter's cluster local-graph cache (nil scratch
+// allocates per call; cache hits replay the fill-time charges, so the
+// charged costs are the same either way).
 //
 //wec:noalloc
-func (a BiccAdapter) AnswerFast(m *asym.Meter, sym *asym.SymTracker, q Query, scratch any) (AnswerVal, error) {
+func (a BiccAdapter) Answer(m *asym.Meter, sym *asym.SymTracker, q Query, scratch any) (AnswerVal, error) {
 	sc, _ := scratch.(*bicc.Scratch)
 	switch q.Kind {
 	case KindBridge:

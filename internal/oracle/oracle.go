@@ -59,49 +59,34 @@ type Query struct {
 	U, V int32
 }
 
-// Answer is a successful query answer: exactly one of Bool/Label is set.
-type Answer struct {
-	Bool  *bool
-	Label *int32
-}
-
-// QueryOracle answers queries of the kinds its factory declares, over one
-// immutable graph snapshot. Answer must only be called with in-range
-// vertices of a declared kind; costs are charged to m, symmetric scratch to
-// sym. Implementations must be safe for concurrent use with per-caller
-// meters (the conn/bicc concurrency contract).
-type QueryOracle interface {
-	Answer(m *asym.Meter, sym *asym.SymTracker, q Query) (Answer, error)
-}
-
-// AnswerVal is the unboxed answer of the allocation-free query fast path:
-// for boolean kinds IsBool is true and Bool carries the answer; otherwise
-// Label carries the component label. Unlike Answer, nothing here is
-// pointer-typed, so returning one never escapes to the heap.
+// AnswerVal is a successful query answer: for boolean kinds IsBool is true
+// and Bool carries the answer; otherwise Label carries the component label.
+// Nothing here is pointer-typed, so returning one never escapes to the
+// heap — the serving engine's per-query path allocates nothing.
 type AnswerVal struct {
 	Label  int32
 	Bool   bool
 	IsBool bool
 }
 
-// FastAnswerer is the optional zero-alloc query capability. An oracle that
-// implements it answers hot-path queries without boxing the result and with
-// a reusable per-worker scratch:
+// QueryOracle answers queries of the kinds its factory declares, over one
+// immutable graph snapshot.
 //
 //   - NewScratch returns a workspace a serving worker allocates once and
-//     passes back on every AnswerFast call (nil when the oracle needs
-//     none). A scratch must only depend on the oracle's *type* — snapshot
-//     swaps hand the same scratch to the next epoch's oracle instance.
-//   - AnswerFast must be observably equivalent to Answer: same answers,
-//     same errors, same charged costs. The serving engine's dispatch
-//     prefers it and falls back to Answer for oracles without it (or when
-//     the legacy-dispatch benchmark knob forces the boxed path).
+//     passes back on every Answer call (nil when the oracle needs none). A
+//     scratch must only depend on the oracle's *type* — snapshot swaps hand
+//     the same scratch to the next epoch's oracle instance.
+//   - Answer must only be called with in-range vertices of a declared kind;
+//     costs are charged to m, symmetric scratch to sym. A nil scratch is
+//     always accepted (the oracle allocates per call) and must charge
+//     exactly what a warm scratch charges.
 //
 // A scratch is worker-local and never used concurrently; the oracle itself
-// must remain safe for concurrent AnswerFast calls with distinct scratches.
-type FastAnswerer interface {
+// must be safe for concurrent Answer calls with distinct scratches and
+// per-caller meters (the conn/bicc concurrency contract).
+type QueryOracle interface {
 	NewScratch() any
-	AnswerFast(m *asym.Meter, sym *asym.SymTracker, q Query, scratch any) (AnswerVal, error)
+	Answer(m *asym.Meter, sym *asym.SymTracker, q Query, scratch any) (AnswerVal, error)
 }
 
 // InsertionApplier is implemented by oracles that can fold an
@@ -162,7 +147,7 @@ type ComponentCounter interface{ NumComponents() int }
 // BCCCounter exposes the biconnected-component count of the snapshot.
 type BCCCounter interface{ NumBCC() int }
 
-// CacheStatser is implemented by oracles whose fast path memoizes derived
+// CacheStatser is implemented by oracles whose Answer memoizes derived
 // per-snapshot structures (the bicc cluster local-graph cache). The
 // serving layer sums these counters into /stats; caching must never change
 // answers or charged costs — hits replay the fill-time charges.

@@ -65,7 +65,11 @@ func TestBuiltinsRegistered(t *testing.T) {
 
 // TestAdaptersMatchDirect checks the thin-adapter property: every kind
 // answered through the registry interface must equal the direct oracle call
-// and charge the same cost.
+// and charge the same cost and symmetric high-water. It runs twice: once
+// with nil scratch, once reusing one NewScratch per adapter across every
+// query, so the warm scratch and the bicc cluster-cache hits (filled by
+// the first pass, replayed by the second) are held to the paper path's
+// charges too.
 func TestAdaptersMatchDirect(t *testing.T) {
 	g := graph.Disconnected(graph.Cycle(15), 4)
 	omega := 16
@@ -76,44 +80,69 @@ func TestAdaptersMatchDirect(t *testing.T) {
 	co := conn.BuildOracle(dc, graph.View{G: g, M: dm}, 0, 7)
 	bo := bicc.BuildOracle(dc, graph.View{G: g, M: dm}, nil, 0, 7)
 
-	rng := graph.NewRNG(3)
-	n := g.N()
-	for i := 0; i < 500; i++ {
-		u, v := int32(rng.Intn(n)), int32(rng.Intn(n))
-		am, dm2 := asym.NewMeter(omega), asym.NewMeter(omega)
-		sym := asym.NewSymTracker(0)
-
-		for _, tc := range []struct {
-			oracle QueryOracle
-			q      Query
-			want   Answer
-		}{
-			{built["conn"], Query{KindConnected, u, v}, boolAns(co.Connected(dm2, sym, u, v))},
-			{built["conn"], Query{KindComponent, u, 0}, labelAns(co.Query(dm2, sym, u))},
-			{built["bicc"], Query{KindBridge, u, v}, boolAns(bo.IsBridge(dm2, sym, u, v))},
-			{built["bicc"], Query{KindArticulation, u, 0}, boolAns(bo.IsArticulation(dm2, sym, u))},
-			{built["bicc"], Query{KindBiconnected, u, v}, boolAns(bo.Biconnected(dm2, sym, u, v))},
-			{built["bicc"], Query{KindTwoEdgeConnected, u, v}, boolAns(bo.OneEdgeConnected(dm2, sym, u, v))},
-		} {
-			got, err := tc.oracle.Answer(am, sym, tc.q)
-			if err != nil {
-				t.Fatalf("%s(%d,%d): %v", tc.q.Kind, u, v, err)
-			}
-			if !sameAnswer(got, tc.want) {
-				t.Fatalf("%s(%d,%d): adapter %v, direct %v", tc.q.Kind, u, v, render(got), render(tc.want))
+	for _, warm := range []bool{false, true} {
+		scratch := map[string]any{}
+		if warm {
+			for name, o := range built {
+				scratch[name] = o.NewScratch()
 			}
 		}
-		// Thin means free: identical costs on both meters.
-		if am.Snapshot() != dm2.Snapshot() {
-			t.Fatalf("adapter cost %v != direct cost %v", am.Snapshot(), dm2.Snapshot())
+		rng := graph.NewRNG(3)
+		n := g.N()
+		for i := 0; i < 500; i++ {
+			u, v := int32(rng.Intn(n)), int32(rng.Intn(n))
+			for _, tc := range []struct {
+				name   string
+				q      Query
+				direct func(*asym.Meter, *asym.SymTracker) AnswerVal
+			}{
+				{"conn", Query{KindConnected, u, v}, func(m *asym.Meter, s *asym.SymTracker) AnswerVal {
+					return AnswerVal{IsBool: true, Bool: co.Connected(m, s, u, v)}
+				}},
+				{"conn", Query{KindComponent, u, 0}, func(m *asym.Meter, s *asym.SymTracker) AnswerVal {
+					return AnswerVal{Label: co.Query(m, s, u)}
+				}},
+				{"bicc", Query{KindBridge, u, v}, func(m *asym.Meter, s *asym.SymTracker) AnswerVal {
+					return AnswerVal{IsBool: true, Bool: bo.IsBridge(m, s, u, v)}
+				}},
+				{"bicc", Query{KindArticulation, u, 0}, func(m *asym.Meter, s *asym.SymTracker) AnswerVal {
+					return AnswerVal{IsBool: true, Bool: bo.IsArticulation(m, s, u)}
+				}},
+				{"bicc", Query{KindBiconnected, u, v}, func(m *asym.Meter, s *asym.SymTracker) AnswerVal {
+					return AnswerVal{IsBool: true, Bool: bo.Biconnected(m, s, u, v)}
+				}},
+				{"bicc", Query{KindTwoEdgeConnected, u, v}, func(m *asym.Meter, s *asym.SymTracker) AnswerVal {
+					return AnswerVal{IsBool: true, Bool: bo.OneEdgeConnected(m, s, u, v)}
+				}},
+			} {
+				am, dm2 := asym.NewMeter(omega), asym.NewMeter(omega)
+				asym1, dsym := asym.NewSymTracker(0), asym.NewSymTracker(0)
+				got, err := built[tc.name].Answer(am, asym1, tc.q, scratch[tc.name])
+				if err != nil {
+					t.Fatalf("warm=%v %s(%d,%d): %v", warm, tc.q.Kind, u, v, err)
+				}
+				if want := tc.direct(dm2, dsym); got != want {
+					t.Fatalf("warm=%v %s(%d,%d): adapter %+v, direct %+v", warm, tc.q.Kind, u, v, got, want)
+				}
+				// Thin means free: identical costs and symmetric peaks.
+				if am.Snapshot() != dm2.Snapshot() {
+					t.Fatalf("warm=%v %s(%d,%d): adapter cost %v != direct cost %v", warm, tc.q.Kind, u, v, am.Snapshot(), dm2.Snapshot())
+				}
+				if asym1.HighWater() != dsym.HighWater() {
+					t.Fatalf("warm=%v %s(%d,%d): adapter sym high-water %d != direct %d", warm, tc.q.Kind, u, v, asym1.HighWater(), dsym.HighWater())
+				}
+			}
 		}
+	}
+	if hits, _, _ := built["bicc"].(CacheStatser).CacheStats(); hits == 0 {
+		t.Fatal("repeated bicc queries never hit the cluster cache")
 	}
 
 	// Kinds outside a factory's family are rejected, not misanswered.
-	if _, err := built["conn"].Answer(asym.NewMeter(omega), nil, Query{Kind: KindBridge, U: 0, V: 1}); err == nil {
+	if _, err := built["conn"].Answer(asym.NewMeter(omega), nil, Query{Kind: KindBridge, U: 0, V: 1}, nil); err == nil {
 		t.Error("conn adapter answered a bicc kind")
 	}
-	if _, err := built["bicc"].Answer(asym.NewMeter(omega), nil, Query{Kind: KindComponent, U: 0}); err == nil {
+	if _, err := built["bicc"].Answer(asym.NewMeter(omega), nil, Query{Kind: KindComponent, U: 0}, nil); err == nil {
 		t.Error("bicc adapter answered a conn kind")
 	}
 }
@@ -203,16 +232,16 @@ func TestInsertionApplier(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ans, err := next.Answer(m, sym, Query{Kind: KindConnected, U: 0, V: 15})
-	if err != nil || ans.Bool == nil || !*ans.Bool {
-		t.Fatalf("merged components not connected: %v err=%v", render(ans), err)
+	ans, err := next.Answer(m, sym, Query{Kind: KindConnected, U: 0, V: 15}, nil)
+	if err != nil || !ans.Bool {
+		t.Fatalf("merged components not connected: %+v err=%v", ans, err)
 	}
 	if next.(ComponentCounter).NumComponents() != 2 {
 		t.Fatalf("components = %d, want 2", next.(ComponentCounter).NumComponents())
 	}
 	// The base oracle is untouched (copy-on-write snapshot discipline).
-	old, _ := built["conn"].Answer(m, sym, Query{Kind: KindConnected, U: 0, V: 15})
-	if *old.Bool {
+	old, _ := built["conn"].Answer(m, sym, Query{Kind: KindConnected, U: 0, V: 15}, nil)
+	if old.Bool {
 		t.Fatal("base oracle mutated by ApplyInsertions")
 	}
 }
@@ -310,9 +339,9 @@ func TestRegisterCustomKind(t *testing.T) {
 	if custom == nil {
 		t.Fatal("custom factory not listed")
 	}
-	ans, err := custom.Answer(asym.NewMeter(8), nil, Query{Kind: "same-parity", U: 2, V: 4})
-	if err != nil || ans.Bool == nil || !*ans.Bool {
-		t.Fatalf("custom oracle: %v err=%v", render(ans), err)
+	ans, err := custom.Answer(asym.NewMeter(8), nil, Query{Kind: "same-parity", U: 2, V: 4}, custom.NewScratch())
+	if err != nil || !ans.IsBool || !ans.Bool {
+		t.Fatalf("custom oracle: %+v err=%v", ans, err)
 	}
 
 	// Duplicate kinds and names are rejected.
@@ -344,34 +373,9 @@ func TestRegisterCustomKind(t *testing.T) {
 
 type parityOracle struct{}
 
-func (parityOracle) Answer(m *asym.Meter, _ *asym.SymTracker, q Query) (Answer, error) {
+func (parityOracle) NewScratch() any { return nil }
+
+func (parityOracle) Answer(m *asym.Meter, _ *asym.SymTracker, q Query, _ any) (AnswerVal, error) {
 	m.Read(2)
-	v := q.U%2 == q.V%2
-	return Answer{Bool: &v}, nil
-}
-
-func boolAns(v bool) Answer   { return Answer{Bool: &v} }
-func labelAns(v int32) Answer { return Answer{Label: &v} }
-
-func sameAnswer(a, b Answer) bool {
-	if (a.Bool == nil) != (b.Bool == nil) || (a.Label == nil) != (b.Label == nil) {
-		return false
-	}
-	if a.Bool != nil && *a.Bool != *b.Bool {
-		return false
-	}
-	if a.Label != nil && *a.Label != *b.Label {
-		return false
-	}
-	return true
-}
-
-func render(a Answer) any {
-	switch {
-	case a.Bool != nil:
-		return *a.Bool
-	case a.Label != nil:
-		return *a.Label
-	}
-	return nil
+	return AnswerVal{IsBool: true, Bool: q.U%2 == q.V%2}, nil
 }

@@ -8,9 +8,9 @@ import (
 )
 
 // TestConnFastPathZeroAlloc is the runtime ground truth behind the
-// noallocpath static rule: the conn fast query path — Engine.answer through
-// oracle.FastAnswerer with a warmed worker and label arena — performs zero
-// allocations per query. Methodology matches BENCH_query_hot_path.json
+// noallocpath static rule: the conn query path — Engine.answer through
+// oracle.QueryOracle.Answer with a warmed worker and label arena —
+// performs zero allocations per query. Methodology matches BENCH_query_hot_path.json
 // (GOMAXPROCS=1, omega 64, seed 7): the recorded steady-state figure there
 // is 0 allocs/query with the small remainder amortized per-batch overhead,
 // and this gate keeps it that way.

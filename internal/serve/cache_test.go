@@ -3,15 +3,63 @@ package serve
 import (
 	"testing"
 
+	"repro/internal/asym"
 	"repro/internal/graph"
+	"repro/internal/oracle"
 )
 
 // This file tests the serving layer's result memoization (batch-local
 // dedup + the epoch-keyed shared table): cached dispatch must be
-// observably identical to the legacy recompute-everything path — same
-// answers AND same per-kind charged costs, since hits replay the fill's
-// recorded charges — and a snapshot swap must invalidate every memoized
-// result.
+// observably identical to a cache-free reference that recomputes every
+// answer — same answers AND same per-kind charged costs, since hits replay
+// the fill's recorded charges — and a snapshot swap must invalidate every
+// memoized result.
+
+// referenceDo answers qs with no caching at all, against the oracles of
+// e's current snapshot: each query calls its adapter directly with nil
+// scratch — the bicc adapter stripped of its cluster cache — and is charged
+// the one answer write the engine charges. It returns the results and the
+// per-kind Count/Errors/Cost the engine would report for the same queries.
+func referenceDo(t *testing.T, e *Engine, qs []Query) ([]Result, map[string]KindStats) {
+	t.Helper()
+	sn := e.snap.Load()
+	meters := map[Kind]*asym.Meter{}
+	stats := map[string]KindStats{}
+	out := make([]Result, len(qs))
+	for i, q := range qs {
+		ref, ok := e.byKind[q.Kind]
+		if !ok {
+			t.Fatalf("reference: unknown kind %q", q.Kind)
+		}
+		o := sn.oracleAt(ref.fac)
+		if a, ok := o.(oracle.BiccAdapter); ok {
+			o = oracle.BiccAdapter{O: a.O}
+		}
+		if meters[q.Kind] == nil {
+			meters[q.Kind] = asym.NewMeter(e.omega)
+		}
+		m := meters[q.Kind]
+		ks := stats[string(q.Kind)]
+		av, err := o.Answer(m, asym.NewSymTracker(0), oracle.Query{Kind: q.Kind, U: q.U, V: q.V}, nil)
+		if err != nil {
+			ks.Errors++
+			out[i] = Result{Err: err.Error()}
+		} else {
+			m.Write(1)
+			ks.Count++
+			if av.IsBool {
+				b := av.Bool
+				out[i] = Result{Bool: &b}
+			} else {
+				l := av.Label
+				out[i] = Result{Label: &l}
+			}
+		}
+		ks.Cost = m.Snapshot()
+		stats[string(q.Kind)] = ks
+	}
+	return out, stats
+}
 
 // dupBatch builds a duplicate-laden batch over all six kinds: queries
 // cycle through a small hot set, so both the batch-local dedup map and the
@@ -47,26 +95,29 @@ func sameResults(t *testing.T, got, want []Result, label string) {
 	}
 }
 
+// TestResultCacheEquivalentToLegacy holds cached dispatch to the cache-free
+// recompute-everything reference: same answers, same per-kind telemetry.
 func TestResultCacheEquivalentToLegacy(t *testing.T) {
 	g := graph.GNM(512, 700, 17, false)
-	cfg := Config{Omega: 64, Seed: 7, Workers: 2}
-	fast := New(g, cfg)
-	defer fast.Close()
-	lcfg := cfg
-	lcfg.LegacyDispatch = true
-	legacy := New(g, lcfg)
-	defer legacy.Close()
+	e := New(g, Config{Omega: 64, Seed: 7, Workers: 2})
+	defer e.Close()
 
+	var all []Query
 	for round := 0; round < 3; round++ {
 		qs := dupBatch(512, 40, int32(g.N()), uint64(100+round))
-		sameResults(t, fast.Do(qs), legacy.Do(qs), "round")
+		want, _ := referenceDo(t, e, qs)
+		sameResults(t, e.Do(qs), want, "round")
+		all = append(all, qs...)
 	}
 
-	fs, ls := fast.Stats(), legacy.Stats()
-	for kind, want := range ls.Queries {
-		got := fs.Queries[kind]
-		if got.Count != want.Count || got.Errors != want.Errors || got.Cost != want.Cost {
-			t.Fatalf("kind %s: cached telemetry %+v, legacy %+v", kind, got, want)
+	_, want := referenceDo(t, e, all)
+	fs := e.Stats()
+	if fs.TotalQueries != int64(len(all)) {
+		t.Fatalf("engine counted %d queries, want %d", fs.TotalQueries, len(all))
+	}
+	for kind, w := range want {
+		if got := fs.Queries[kind]; got.Count != w.Count || got.Errors != w.Errors || got.Cost != w.Cost {
+			t.Fatalf("kind %s: cached telemetry %+v, cache-free reference %+v", kind, got, w)
 		}
 	}
 	if fs.ResultCache.Hits == 0 {
@@ -77,9 +128,6 @@ func TestResultCacheEquivalentToLegacy(t *testing.T) {
 	}
 	if fs.ClusterCache.Misses == 0 {
 		t.Fatalf("bicc queries produced no cluster-cache fills: %+v", fs.ClusterCache)
-	}
-	if ls.ResultCache != (ResultCacheStats{}) {
-		t.Fatalf("legacy dispatch must bypass the result cache entirely: %+v", ls.ResultCache)
 	}
 }
 
@@ -114,13 +162,13 @@ func TestResultCacheEpochInvalidation(t *testing.T) {
 	if h2 != h1 {
 		t.Fatalf("post-swap batch served %d stale hits; epoch keying must miss", h2-h1)
 	}
-	// Answers on the new epoch match a fresh legacy engine over the updated
-	// graph (bicc rebuilds fresh on both sides; bool answers are canonical).
-	lcfg := cfg
-	lcfg.LegacyDispatch = true
-	legacy := New(e.Graph(), lcfg)
-	defer legacy.Close()
-	sameResults(t, got, legacy.Do(qs), "post-swap")
+	// Answers on the new epoch match the cache-free reference over a fresh
+	// engine on the updated graph (bicc rebuilds fresh on both sides; bool
+	// answers are canonical).
+	fresh := New(e.Graph(), cfg)
+	defer fresh.Close()
+	want, _ := referenceDo(t, fresh, qs)
+	sameResults(t, got, want, "post-swap")
 
 	// Cluster-cache counters are cumulative across the swap: the retired
 	// snapshot's fills are folded into the engine accumulators.

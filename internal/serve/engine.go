@@ -114,11 +114,11 @@ type Query struct {
 // component label. Component labels are canonical within one snapshot
 // epoch; a full rebuild may renumber them.
 //
-// Results are read-only. On the fast dispatch path Bool aliases one of two
-// process-wide interned bool words shared by every boolean Result, and
-// Label points into a batch-owned arena shared by the batch's Results —
-// writing through either pointer silently corrupts other results, past and
-// future. Dereference and copy the values; never assign through them.
+// Results are read-only. Bool aliases one of two process-wide interned
+// bool words shared by every boolean Result, and Label points into a
+// batch-owned arena shared by the batch's Results — writing through either
+// pointer silently corrupts other results, past and future. Dereference
+// and copy the values; never assign through them.
 type Result struct {
 	Bool  *bool  `json:"bool,omitempty"`
 	Label *int32 `json:"label,omitempty"`
@@ -161,28 +161,11 @@ type Config struct {
 	// lock, from the rebuild goroutine; keep it fast and non-blocking.
 	OnRebuild func(RebuildRecord)
 
-	// LegacyDispatch forces the boxed per-query dispatch path: a fresh
-	// worker per batch chunk, Answer (pointer-boxed results) instead of
-	// AnswerFast, and no reusable search scratch. It exists so the
-	// benchmark harness can regenerate the pre-optimization baseline
-	// (BENCH_query_hot_path_legacy.json) against the same code; answers
-	// and charged costs are identical either way.
-	LegacyDispatch bool
-
-	// EagerRebuilds disables the deferred (lazy) rebuild path: every
-	// accepted batch rebuilds every oracle on the publish path, Deferrable
-	// or not — the pre-optimization behavior. It exists so the benchmark
-	// harness can regenerate the pre-PR baseline against the same code;
-	// answers are identical either way, only where the rebuild work happens
-	// moves. It also implies boot-time construction of every oracle
-	// (LazyBoot is ignored).
-	EagerRebuilds bool
 	// LazyBoot skips the initial construction of Deferrable oracles: the
 	// engine starts serving with those slots unbuilt (built-epoch -1) and
 	// constructs them on the first query of one of their kinds. The
 	// registry sets this for recovered graphs so a restart never pays
-	// boot-time bicc rebuilds that no query may need. Ignored under
-	// EagerRebuilds.
+	// boot-time bicc rebuilds that no query may need.
 	LazyBoot bool
 
 	// RebaseEvery is the incremental patch-chain budget: an oracle whose
@@ -335,8 +318,8 @@ type Stats struct {
 
 // snapshot is the immutable per-epoch serving state. A snapshot is built
 // completely before its pointer is published; after that nothing in it
-// mutates, so readers never lock. oracles, costs, fast, builtEpoch and lazy
-// are parallel to the engine's factory list.
+// mutates, so readers never lock. oracles, costs, builtEpoch and lazy are
+// parallel to the engine's factory list.
 //
 // The one deliberate exception to "nothing mutates" is behind lazy: a
 // Deferrable oracle whose rebuild was skipped at publish time gets a
@@ -353,10 +336,6 @@ type snapshot struct {
 	g       *graph.Graph
 	oracles []oracle.QueryOracle
 	costs   []asym.Cost
-	// fast caches each oracle's FastAnswerer capability (nil for oracles
-	// without one), so the per-query hot path does one slice index instead
-	// of a type assertion per query.
-	fast []oracle.FastAnswerer
 	// builtEpoch[i] is the epoch oracles[i]'s state was built at (== epoch
 	// for a fresh oracle, lagging while deferred, -1 for never-built). A
 	// nil slice means every oracle is fresh.
@@ -366,21 +345,13 @@ type snapshot struct {
 	lazy []*lazySlot
 }
 
-// newSnap assembles a snapshot, resolving each oracle's zero-alloc
-// capability once. Every snapshot — initial build and rebuild publishes —
-// goes through here so the fast slice is never missing. builtEpoch nil
-// means all-fresh; lazy nil means no deferred slots.
+// newSnap assembles a snapshot. Every snapshot — initial build and
+// rebuild publishes — goes through here. builtEpoch nil means all-fresh;
+// lazy nil means no deferred slots.
 //
 //wec:mutator the snapshot constructor: the only writes before publication
 func newSnap(epoch int64, g *graph.Graph, os []oracle.QueryOracle, costs []asym.Cost, builtEpoch []int64, lazy []*lazySlot) *snapshot {
-	s := &snapshot{epoch: epoch, g: g, oracles: os, costs: costs,
-		fast: make([]oracle.FastAnswerer, len(os)), builtEpoch: builtEpoch, lazy: lazy}
-	for i, o := range os {
-		if fa, ok := o.(oracle.FastAnswerer); ok {
-			s.fast[i] = fa
-		}
-	}
-	return s
+	return &snapshot{epoch: epoch, g: g, oracles: os, costs: costs, builtEpoch: builtEpoch, lazy: lazy}
 }
 
 // oracleAt returns the effective oracle of slot fi: the lazily built one
@@ -474,8 +445,6 @@ type Engine struct {
 	sym         int
 	seed        uint64
 	rebaseEvery int // resolved patch-chain budget (0 = re-basing disabled)
-	legacy      bool
-	eager       bool // Config.EagerRebuilds: deferred rebuilds disabled
 	onRebuild   func(RebuildRecord)
 	persist     GraphPersister
 
@@ -496,15 +465,13 @@ type Engine struct {
 
 	// wpool recycles worker state (per-kind meters, symmetric tracker,
 	// per-factory query scratch) across batch chunks, so steady-state
-	// serving allocates nothing per chunk. Unused under LegacyDispatch.
+	// serving allocates nothing per chunk.
 	wpool sync.Pool
 
-	// rcache is the epoch-keyed hot-pair result cache of the fast path
+	// rcache is the epoch-keyed hot-pair result cache of the query path
 	// (resultcache.go); the atomics below are its cumulative telemetry
 	// plus the retired snapshots' cluster-cache counters (the live
-	// snapshot's are read on demand in Stats). Unused under LegacyDispatch
-	// — the legacy path recomputes every answer, which is what makes it a
-	// true pre-optimization baseline.
+	// snapshot's are read on demand, see clusterCacheCounts).
 	rcache    *resultCache
 	rcHits    atomic.Int64
 	rcMisses  atomic.Int64
@@ -600,8 +567,6 @@ func New(g *graph.Graph, cfg Config) *Engine {
 		sym:         cfg.SymLimit,
 		seed:        cfg.Seed,
 		rebaseEvery: rebaseEvery,
-		legacy:      cfg.LegacyDispatch,
-		eager:       cfg.EagerRebuilds,
 		onRebuild:   cfg.OnRebuild,
 		persist:     cfg.Persist,
 		seq:         cfg.InitialSeq,
@@ -629,7 +594,7 @@ func New(g *graph.Graph, cfg Config) *Engine {
 		e.kinds[i].meter = asym.NewMeter(omega)
 	}
 	var skip []bool
-	if cfg.LazyBoot && !cfg.EagerRebuilds {
+	if cfg.LazyBoot {
 		for fi, f := range e.factories {
 			if f.Deferrable {
 				if skip == nil {
@@ -820,9 +785,17 @@ func (e *Engine) MetricsRegistry() *obs.Registry { return e.met.reg }
 
 // clusterCacheCounts returns the cumulative oracle-side cluster-cache
 // counters: the retired snapshots' totals (folded into the engine atomics
-// at publish time) plus the live snapshot's. Shared by Stats and the
-// scrape-time cache metrics.
+// at publish time) plus every instance still live in the current snapshot
+// (a deferred slot can have two: the stale base that bounded queries use
+// and the lazily built replacement). Shared by Stats and the scrape-time
+// cache metrics. The atomics and the snapshot are read together under mu,
+// the lock a publish folds and swaps under — otherwise a fold landing
+// between the two loads would drop (or, in the other order, double-count)
+// the retired instance's counts, and the cumulative counters could go
+// backwards between reads.
 func (e *Engine) clusterCacheCounts() (hits, misses, evicts int64) {
+	e.mu.Lock()
+	defer e.mu.Unlock()
 	hits, misses, evicts = e.ccHits.Load(), e.ccMisses.Load(), e.ccEvicts.Load()
 	sn := e.snap.Load()
 	for fi := range sn.oracles {
@@ -889,8 +862,8 @@ type worker struct {
 	counts []int64
 	errs   []int64
 	sym    *asym.SymTracker
-	// scratch[fi] is the FastAnswerer scratch of factory fi (nil for
-	// factories without one or whose NewScratch returns nil). A scratch
+	// scratch[fi] is the query scratch of factory fi (nil while the slot
+	// has no built oracle, or when its NewScratch returns nil). A scratch
 	// depends only on the oracle's type, so a pooled worker's scratch
 	// stays valid across snapshot swaps.
 	scratch []any
@@ -934,9 +907,9 @@ func (e *Engine) getWorker(s *snapshot) *worker {
 	}
 	if w.scratch == nil {
 		w.scratch = make([]any, len(e.factories))
-		for i, fa := range s.fast {
-			if fa != nil {
-				w.scratch[i] = fa.NewScratch()
+		for i, o := range s.oracles {
+			if o != nil {
+				w.scratch[i] = o.NewScratch()
 			}
 		}
 	}
@@ -1024,17 +997,14 @@ func (e *Engine) answer(s *snapshot, w *worker, q Query, labels *[]int32) Result
 // (the output-sized write cost of the model); the oracles themselves write
 // nothing during queries.
 //
-// labels, when non-nil, selects the zero-alloc path for oracles that
-// implement oracle.FastAnswerer: results are built from shared bool words
-// and a caller-owned label arena instead of boxing a value per query. The
-// arena must have capacity for one label per remaining query in the
-// caller's chunk — appends then never reallocate, so previously returned
-// Result.Label pointers stay valid. If a caller undersizes the arena, the
-// overflow labels are boxed individually (an allocation, not corruption)
-// rather than appended through a reallocation that would dangle earlier
-// Result.Label pointers. A nil labels (or an oracle without the
-// capability) takes the boxed Answer path; answers and charged costs are
-// identical on both.
+// Results are built from shared bool words and the caller-owned label
+// arena labels instead of boxing a value per query. The arena must have
+// capacity for one label per remaining query in the caller's chunk —
+// appends then never reallocate, so previously returned Result.Label
+// pointers stay valid. If a caller undersizes the arena, the overflow
+// labels are boxed individually (an allocation, not corruption) rather
+// than appended through a reallocation that would dangle earlier
+// Result.Label pointers.
 //
 //wec:noalloc
 func (e *Engine) dispatch(s *snapshot, w *worker, q Query, labels *[]int32) (Result, int) {
@@ -1064,91 +1034,73 @@ func (e *Engine) dispatch(s *snapshot, w *worker, q Query, labels *[]int32) (Res
 	// the epoch the resolved oracle's state was built at — it keys both
 	// result-cache layers, so strict and bounded answers, and answers from
 	// different build generations, never share an entry.
-	qo, fa, ep, err := e.resolveOracle(s, ref.fac, bounded)
+	qo, ep, err := e.resolveOracle(s, ref.fac, bounded)
 	if err != nil {
 		w.errs[ref.agg]++
 		return Result{Err: err.Error()}, ref.agg //wec:alloc lazy-build failure path, not the hot answer path
 	}
 	m := w.meters[ref.agg]
-	if labels != nil {
-		if fa != nil {
-			if w.scratch[ref.fac] == nil {
-				// A lazily-booted slot had no oracle to take a scratch from
-				// when this worker was equipped; fill it on first contact.
-				w.scratch[ref.fac] = fa.NewScratch() //wec:alloc one-time per-worker scratch fill after a lazy build
-			}
-			// Result memoization, two layers: the chunk-local batchSeen map
-			// (duplicates inside one batch), then the engine's epoch-keyed
-			// shared table. Hits replay the memoized query's recorded cost
-			// and symmetric peak, so per-kind telemetry is identical to
-			// recomputing; misses compute, record, and publish. Errors are
-			// never memoized.
-			key := rcKey{agg: int32(ref.agg), u: q.U, v: q.V}
-			bkey := bsKey{k: key, epoch: ep}
-			var av oracle.AnswerVal
-			if hit, ok := w.batchSeen[bkey]; ok {
-				w.dedup++
-				av = w.replay(m, hit)
-			} else if hit, ok := e.rcache.get(ep, key); ok {
-				e.rcHits.Add(1)
-				w.batchSeen[bkey] = hit
-				av = w.replay(m, hit)
-			} else {
-				e.rcMisses.Add(1)
-				before := m.Snapshot()
-				w.fillSym.Reset()
-				var err error
-				av, err = fa.AnswerFast(m, w.fillSym, oracle.Query{Kind: q.Kind, U: q.U, V: q.V}, w.scratch[ref.fac])
-				// Pulse the fill's isolated peak onto the worker tracker:
-				// queries return their footprint to zero, so the worker's
-				// high-water is the max of per-query peaks either way.
-				if peak := w.fillSym.HighWater(); peak > 0 {
-					w.sym.Acquire(int(peak))
-					w.sym.Release(int(peak))
-				}
-				if err != nil {
-					w.errs[ref.agg]++
-					return Result{Err: err.Error()}, ref.agg
-				}
-				val := rcVal{av: av, cost: m.Snapshot().Sub(before), peak: w.fillSym.HighWater()}
-				w.batchSeen[bkey] = val
-				if e.rcache.put(ep, key, val) {
-					e.rcEvicts.Add(1)
-				}
-			}
-			m.Write(1) // store the answer (output-sized cost)
-			w.counts[ref.agg]++
-			var res Result
-			switch {
-			case av.IsBool && av.Bool:
-				res = Result{Bool: boolTrue}
-			case av.IsBool:
-				res = Result{Bool: boolFalse}
-			case len(*labels) < cap(*labels):
-				*labels = append(*labels, av.Label)
-				res = Result{Label: &(*labels)[len(*labels)-1]}
-			default:
-				// Undersized arena (a caller bug — both call sites size it to
-				// one slot per query): box this label rather than let append
-				// reallocate, which would silently dangle every previously
-				// returned Result.Label into the old array.
-				lbl := av.Label
-				res = Result{Label: &lbl} //wec:alloc arena-overflow fallback; both call sites size the arena to avoid it
-			}
-			if bounded {
-				res.Epoch = ep
-			}
-			return res, ref.agg
-		}
+	if w.scratch[ref.fac] == nil {
+		// A lazily-booted slot had no oracle to take a scratch from when
+		// this worker was equipped; fill it on first contact.
+		w.scratch[ref.fac] = qo.NewScratch() //wec:alloc one-time per-worker scratch fill after a lazy build
 	}
-	ans, err := qo.Answer(m, w.sym, oracle.Query{Kind: q.Kind, U: q.U, V: q.V})
-	if err != nil {
-		w.errs[ref.agg]++
-		return Result{Err: err.Error()}, ref.agg
+	// Result memoization, two layers: the chunk-local batchSeen map
+	// (duplicates inside one batch), then the engine's epoch-keyed shared
+	// table. Hits replay the memoized query's recorded cost and symmetric
+	// peak, so per-kind telemetry is identical to recomputing; misses
+	// compute, record, and publish. Errors are never memoized.
+	key := rcKey{agg: int32(ref.agg), u: q.U, v: q.V}
+	bkey := bsKey{k: key, epoch: ep}
+	var av oracle.AnswerVal
+	if hit, ok := w.batchSeen[bkey]; ok {
+		w.dedup++
+		av = w.replay(m, hit)
+	} else if hit, ok := e.rcache.get(ep, key); ok {
+		e.rcHits.Add(1)
+		w.batchSeen[bkey] = hit
+		av = w.replay(m, hit)
+	} else {
+		e.rcMisses.Add(1)
+		before := m.Snapshot()
+		w.fillSym.Reset()
+		av, err = qo.Answer(m, w.fillSym, oracle.Query{Kind: q.Kind, U: q.U, V: q.V}, w.scratch[ref.fac])
+		// Pulse the fill's isolated peak onto the worker tracker: queries
+		// return their footprint to zero, so the worker's high-water is the
+		// max of per-query peaks either way.
+		if peak := w.fillSym.HighWater(); peak > 0 {
+			w.sym.Acquire(int(peak))
+			w.sym.Release(int(peak))
+		}
+		if err != nil {
+			w.errs[ref.agg]++
+			return Result{Err: err.Error()}, ref.agg
+		}
+		val := rcVal{av: av, cost: m.Snapshot().Sub(before), peak: w.fillSym.HighWater()}
+		w.batchSeen[bkey] = val
+		if e.rcache.put(ep, key, val) {
+			e.rcEvicts.Add(1)
+		}
 	}
 	m.Write(1) // store the answer (output-sized cost)
 	w.counts[ref.agg]++
-	res := Result{Bool: ans.Bool, Label: ans.Label}
+	var res Result
+	switch {
+	case av.IsBool && av.Bool:
+		res = Result{Bool: boolTrue}
+	case av.IsBool:
+		res = Result{Bool: boolFalse}
+	case len(*labels) < cap(*labels):
+		*labels = append(*labels, av.Label)
+		res = Result{Label: &(*labels)[len(*labels)-1]}
+	default:
+		// Undersized arena (a caller bug — both call sites size it to one
+		// slot per query): box this label rather than let append
+		// reallocate, which would silently dangle every previously returned
+		// Result.Label into the old array.
+		lbl := av.Label
+		res = Result{Label: &lbl} //wec:alloc arena-overflow fallback; both call sites size the arena to avoid it
+	}
 	if bounded {
 		res.Epoch = ep
 	}
@@ -1185,14 +1137,6 @@ func (e *Engine) DoWait(queries []Query) ([]Result, time.Duration) {
 		if hi > len(queries) {
 			hi = len(queries)
 		}
-		if e.legacy {
-			w := e.newWorker()
-			for i := lo; i < hi; i++ {
-				out[i] = e.answer(s, w, queries[i], nil)
-			}
-			w.mergeInto(e)
-			return
-		}
 		w := e.getWorker(s)
 		// One label arena per chunk, sized so appends never reallocate
 		// (at most one label per query) — Result.Label pointers into it
@@ -1213,12 +1157,6 @@ func (e *Engine) DoWait(queries []Query) ([]Result, time.Duration) {
 // round-trip).
 func (e *Engine) Query(q Query) Result {
 	s := e.snap.Load()
-	if e.legacy {
-		w := e.newWorker()
-		res := e.answer(s, w, q, nil)
-		w.mergeInto(e)
-		return res
-	}
 	w := e.getWorker(s)
 	labels := make([]int32, 0, 1)
 	res := e.answer(s, w, q, &labels)
@@ -1282,21 +1220,7 @@ func (e *Engine) Stats() Stats {
 		Evictions:  e.rcEvicts.Load(),
 		BatchDedup: e.dedupHits.Load(),
 	}
-	// Cluster-cache counters: retired snapshots' totals (folded in at
-	// publish time, update.go) plus every instance still live in the
-	// current snapshot (a deferred slot can have two: the stale base that
-	// bounded queries use and the lazily built replacement).
-	s.ClusterCache = CacheStats{Hits: e.ccHits.Load(), Misses: e.ccMisses.Load(), Evictions: e.ccEvicts.Load()}
-	for fi := range sn.oracles {
-		sn.liveOracles(fi, func(o oracle.QueryOracle) {
-			if cs, ok := o.(oracle.CacheStatser); ok {
-				h, ms, ev := cs.CacheStats()
-				s.ClusterCache.Hits += h
-				s.ClusterCache.Misses += ms
-				s.ClusterCache.Evictions += ev
-			}
-		})
-	}
+	s.ClusterCache.Hits, s.ClusterCache.Misses, s.ClusterCache.Evictions = e.clusterCacheCounts()
 	s.Admission = AdmissionStats{
 		MaxInflight: int(e.maxInflight),
 		Inflight:    e.inflight.Load(),

@@ -36,40 +36,38 @@ type lazySlot struct {
 	built atomic.Pointer[lazyBuilt]
 }
 
-// lazyBuilt is the product of one on-demand build: the oracle, its
-// pre-resolved fast-path capability, and the build's metered cost (which
-// becomes the slot's reported build cost — the lazy path moves the work,
-// it doesn't hide it).
+// lazyBuilt is the product of one on-demand build: the oracle and the
+// build's metered cost (which becomes the slot's reported build cost — the
+// lazy path moves the work, it doesn't hide it).
 type lazyBuilt struct {
 	o    oracle.QueryOracle
-	fast oracle.FastAnswerer
 	cost asym.Cost
 }
 
 // resolveOracle picks the oracle instance that serves one query of factory
-// fi against snapshot s, returning it with its fast-path capability and
-// the epoch its state was built at (the cache key + the epoch reported on
-// bounded answers). The fresh-slot fast path is two nil checks; deferred
-// slots resolve to the lazily built instance, the stale instance (bounded
-// queries only), or block on the single-flight build.
+// fi against snapshot s, returning it with the epoch its state was built
+// at (the cache key + the epoch reported on bounded answers). A fresh slot
+// costs two nil checks; deferred slots resolve to the lazily built
+// instance, the stale instance (bounded queries only), or block on the
+// single-flight build.
 //
 //wec:noalloc
-func (e *Engine) resolveOracle(s *snapshot, fi int, bounded bool) (oracle.QueryOracle, oracle.FastAnswerer, int64, error) {
+func (e *Engine) resolveOracle(s *snapshot, fi int, bounded bool) (oracle.QueryOracle, int64, error) {
 	if s.lazy == nil || s.lazy[fi] == nil {
-		return s.oracles[fi], s.fast[fi], s.epoch, nil
+		return s.oracles[fi], s.epoch, nil
 	}
 	slot := s.lazy[fi]
 	if lb := slot.built.Load(); lb != nil {
-		return lb.o, lb.fast, s.epoch, nil
+		return lb.o, s.epoch, nil
 	}
 	if bounded && s.oracles[fi] != nil {
-		return s.oracles[fi], s.fast[fi], s.builtEpoch[fi], nil
+		return s.oracles[fi], s.builtEpoch[fi], nil
 	}
 	lb, err := e.buildLazy(s, fi)
 	if err != nil {
-		return nil, nil, 0, err
+		return nil, 0, err
 	}
-	return lb.o, lb.fast, s.epoch, nil
+	return lb.o, s.epoch, nil
 }
 
 // buildLazy runs the deferred slot's on-demand build, single-flight: the
@@ -105,9 +103,6 @@ func (e *Engine) buildLazy(s *snapshot, fi int) (*lazyBuilt, error) {
 		return nil, err
 	}
 	lb := &lazyBuilt{o: o, cost: m.Snapshot()}
-	if fa, ok := o.(oracle.FastAnswerer); ok {
-		lb.fast = fa
-	}
 	slot.built.Store(lb)
 	e.lazyBuilds.Add(1)
 	if e.met != nil {

@@ -245,11 +245,4 @@ func TestLazyBootDefersBicc(t *testing.T) {
 	if st.BuildBicc.Writes == 0 {
 		t.Fatal("deferred build cost did not surface in BuildBicc")
 	}
-
-	// EagerRebuilds wins over LazyBoot: the baseline engine builds at boot.
-	eager := New(g, Config{Omega: 16, Seed: 5, LazyBoot: true, EagerRebuilds: true})
-	defer eager.Close()
-	if st := eager.Stats(); st.OracleEpochs["bicc"] != 0 || st.BuildBicc.Writes == 0 {
-		t.Fatalf("eager engine deferred its boot build: %+v", st.OracleEpochs)
-	}
 }

@@ -268,24 +268,41 @@ func tracesPage(t *testing.T, base string) obs.TracesPage {
 // TestMetricsScrapeDuringChurn hammers GET /metrics while queries, churn
 // updates, and graph create/delete cycles run concurrently — the race
 // gate for every scrape-time func instrument (they read engine and
-// registry state under their own locks).
+// registry state under their own locks). The query mix includes bicc
+// kinds and the updates alternate adding and removing one edge, so bicc
+// instances retire and fold their cluster-cache counters into the engine
+// mid-scrape: every scraped wec_cache_*_total{cache="cluster"} value, and
+// Stats().ClusterCache, must never decrease between consecutive reads.
 func TestMetricsScrapeDuringChurn(t *testing.T) {
 	reg, ts := newMetricsTestServer(t, RegistryConfig{SlowQuery: -1})
+	eng, err := reg.Get("default")
+	if err != nil {
+		t.Fatal(err)
+	}
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
 
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
+		kinds := []string{"connected", "bridge", "biconnected"}
 		for i := 0; ; i++ {
 			select {
 			case <-stop:
 				return
 			default:
 			}
-			postJSON(t, ts.URL+"/query", json.RawMessage(`{"kind":"connected","u":0,"v":1}`), nil)
+			q := fmt.Sprintf(`{"kind":%q,"u":%d,"v":%d}`, kinds[i%len(kinds)], i%64, (i*7+1)%64)
+			postJSON(t, ts.URL+"/query", json.RawMessage(q), nil)
 			if i%3 == 0 {
-				postJSON(t, ts.URL+"/update", json.RawMessage(`{"add":[[0,7]],"wait":true}`), nil)
+				// Removing the extra edge again can split a block, so bicc
+				// defers and the next bicc query rebuilds it: the replaced
+				// instance retires.
+				op := "add"
+				if (i/3)%2 == 1 {
+					op = "remove"
+				}
+				postJSON(t, ts.URL+"/update", json.RawMessage(fmt.Sprintf(`{%q:[[0,33]],"wait":true}`, op)), nil)
 			}
 		}
 	}()
@@ -306,14 +323,50 @@ func TestMetricsScrapeDuringChurn(t *testing.T) {
 		}
 	}()
 
+	// Stats readers race the publishes far more often than HTTP scrapes
+	// can, so they get a goroutine of their own.
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		var last CacheStats
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			cc := eng.Stats().ClusterCache
+			if cc.Hits < last.Hits || cc.Misses < last.Misses || cc.Evictions < last.Evictions {
+				t.Errorf("Stats().ClusterCache went backwards: %+v -> %+v", last, cc)
+				return
+			}
+			last = cc
+		}
+	}()
+
+	last := map[string]float64{}
 	deadline := time.Now().Add(1 * time.Second)
+scrapes:
 	for time.Now().Before(deadline) {
 		exp := scrape(t, ts.URL)
 		if !exp.HasFamily("wec_query_duration_seconds") {
 			t.Error("scrape lost wec_query_duration_seconds mid-churn")
 			break
 		}
+		for _, smp := range exp.Samples {
+			if smp.Labels["graph"] != "default" || smp.Labels["cache"] != cacheLayerCluster {
+				continue
+			}
+			if smp.Value < last[smp.Name] {
+				t.Errorf("%s{cache=%q} went backwards: %v -> %v", smp.Name, cacheLayerCluster, last[smp.Name], smp.Value)
+				break scrapes
+			}
+			last[smp.Name] = smp.Value
+		}
 	}
 	close(stop)
 	wg.Wait()
+	if st := eng.Stats(); st.LazyRebuilds == 0 || last["wec_cache_misses_total"] == 0 {
+		t.Errorf("churn never retired a bicc instance: lazy rebuilds %d, cluster misses %v", st.LazyRebuilds, last["wec_cache_misses_total"])
+	}
 }

@@ -293,7 +293,7 @@ func (e *Engine) rebuildLoop() {
 				e.nIncremental++
 			}
 			for i := range e.factories {
-				if !e.factories[i].Deferrable || e.eager {
+				if !e.factories[i].Deferrable {
 					continue
 				}
 				switch rec.Strategies[e.factories[i].Name] {
@@ -375,15 +375,14 @@ func (e *Engine) rebuildLoop() {
 // planStrategy picks factory fi's rung on the update-strategy ladder for a
 // batch of the given shape.
 //
-// Deferrable factories (unless Config.EagerRebuilds pins the engine to the
-// eager ladder) walk the deferred sub-ladder: attempt the no-op patch when
-// the effective instance is fresh — the patch predicates answer about the
-// instance's *own* graph, so testing a stale instance against a newer batch
-// would be unsound — and otherwise go lazy, carrying the instance forward
-// as stale for the first query to rebuild. Everything else walks the eager
-// ladder: rebase when the patch chain hit its budget, else the cheapest
-// patch the oracle's capabilities and the batch shape allow, else a full
-// rebuild.
+// Deferrable factories walk the deferred sub-ladder: attempt the no-op
+// patch when the effective instance is fresh — the patch predicates answer
+// about the instance's *own* graph, so testing a stale instance against a
+// newer batch would be unsound — and otherwise go lazy, carrying the
+// instance forward as stale for the first query to rebuild. Everything
+// else walks the eager ladder: rebase when the patch chain hit its
+// budget, else the cheapest patch the oracle's capabilities and the batch
+// shape allow, else a full rebuild.
 //
 // The plan is provisional — inside the build, patch-delete steps down to
 // full when the oracle refuses the batch with oracle.ErrNeedsRebuild (a
@@ -392,13 +391,6 @@ func (e *Engine) rebuildLoop() {
 func (e *Engine) planStrategy(fi int, cur *snapshot, hasAdds, hasRemovals bool) string {
 	o := cur.oracleAt(fi)
 	if e.factories[fi].Deferrable {
-		if e.eager {
-			// Config.EagerRebuilds pins deferrable oracles to the
-			// pre-deferral baseline — a full rebuild every publish, no
-			// patch attempts — which is what benchmark before/after pairs
-			// compare against.
-			return StrategyFull
-		}
 		if o != nil && cur.builtEpochAt(fi) == cur.epoch {
 			if !hasRemovals {
 				if _, ok := o.(oracle.InsertionApplier); ok {
@@ -439,18 +431,17 @@ func (e *Engine) planStrategy(fi int, cur *snapshot, hasAdds, hasRemovals bool) 
 
 // summarizeStrategies collapses the per-oracle strategies into the record's
 // headline: the most incremental rung a non-deferred oracle *worked* on the
-// publish path. Deferrable oracles' entries are skipped entirely (unless
-// Config.EagerRebuilds put them on the eager ladder): their lazy rung did
-// no publish work, and their no-op patch absorptions are read-only
-// predicate checks — letting either outrank, say, a conn rebase would make
-// the headline (and the incremental-rebuild counter it drives) depend on
-// batch shapes the eager ladder never sees. Only a batch that defers every
-// oracle summarizes as lazy.
+// publish path. Deferrable oracles' entries are skipped entirely: their
+// lazy rung did no publish work, and their no-op patch absorptions are
+// read-only predicate checks — letting either outrank, say, a conn rebase
+// would make the headline (and the incremental-rebuild counter it drives)
+// depend on batch shapes the eager ladder never sees. Only a batch that
+// defers every oracle summarizes as lazy.
 func (e *Engine) summarizeStrategies(strategies []string) string {
 	rank := map[string]int{StrategyFull: 0, StrategyRebased: 1, StrategyPatchedDelete: 2, StrategyPatchedInsert: 3}
 	best := ""
 	for i, s := range strategies {
-		if s == StrategyLazy || (e.factories[i].Deferrable && !e.eager) {
+		if e.factories[i].Deferrable {
 			continue
 		}
 		if best == "" || rank[s] > rank[best] {
@@ -552,7 +543,7 @@ func (e *Engine) buildNext(cur *snapshot, batches []*updateBatch) (*snapshot, Re
 				errs[i] = err
 				return
 			}
-			if e.factories[i].Deferrable && !e.eager {
+			if e.factories[i].Deferrable {
 				// The oracle refused the patch (an insertion merges blocks):
 				// a deferrable oracle steps down to the lazy rung, never to
 				// a publish-path rebuild. The refused attempt's charges stay
@@ -586,7 +577,7 @@ func (e *Engine) buildNext(cur *snapshot, batches []*updateBatch) (*snapshot, Re
 				errs[i] = err
 				return
 			}
-			if e.factories[i].Deferrable && !e.eager {
+			if e.factories[i].Deferrable {
 				// Refused patch on a deferrable oracle: defer, don't rebuild.
 				strategies[i] = StrategyLazy
 				return
