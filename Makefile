@@ -5,14 +5,16 @@ GO ?= go
 
 # Concurrency-critical packages for the -race pass (the serving layer, the
 # oracle registry, the conn dynamic/forest update paths, the parallel-build
-# oracles and generators, plus their concurrently-used dependencies); the
-# full suite under -race is too slow for a gate.
+# oracles and generators, the decomposition whose search scratch every
+# build threads through and the core facade over those builds, plus their
+# concurrently-used dependencies); the full suite under -race is too slow
+# for a gate.
 RACE_PKGS := ./internal/serve/... ./internal/oracle/... ./internal/store/... \
              ./internal/conn/ ./internal/asym/ ./internal/obs/ \
              ./internal/parallel/ ./internal/eulertour/ ./internal/graphio/ \
              ./internal/unionfind/ \
              ./internal/bicc/ ./internal/spanning/ ./internal/ldd/ \
-             ./internal/graph/
+             ./internal/graph/ ./internal/decomp/ ./internal/core/
 
 .PHONY: build test race bench bench-record bench-smoke bench-baseline bench-check lint serve smoke smoke-churn smoke-multitenant smoke-restart ci
 

@@ -102,7 +102,10 @@ func BuildOracle(c *parallel.Ctx, vw graph.View, d *decomp.Decomposition, k int,
 	}
 
 	// --- Clusters spanning tree by BFS over the implicit clusters graph.
+	// Every pass below recomputes ρ with a search on each use; one scratch
+	// serves them all, so those searches reuse their buffers.
 	sym := c.Sym()
+	sc := NewScratch()
 	for i := range o.parentCluster {
 		o.parentCluster[i] = -1
 		o.rootVertex[i] = -1
@@ -113,11 +116,8 @@ func BuildOracle(c *parallel.Ctx, vw graph.View, d *decomp.Decomposition, k int,
 	nbrs := func(ci int32) []decomp.CenterEdge {
 		if neighborCache[ci] == nil {
 			s := d.Center(m, int(ci))
-			es := d.NeighborCenters(m, sym, s)
-			if es == nil {
-				es = []decomp.CenterEdge{}
-			}
-			neighborCache[ci] = es
+			// Copied out: the listing is borrowed from the scratch.
+			neighborCache[ci] = append([]decomp.CenterEdge{}, d.NeighborCentersS(m, sym, sc.dsc, s)...)
 		}
 		return neighborCache[ci]
 	}
@@ -270,7 +270,7 @@ func BuildOracle(c *parallel.Ctx, vw graph.View, d *decomp.Decomposition, k int,
 	huf := newRefUF(np) // H-graph: nodes are tree edges keyed by child cluster
 	internalCount := make([]int32, np)
 	for ci := int32(0); ci < int32(np); ci++ {
-		lg := o.local(m, sym, ci)
+		lg := o.buildLocal(m, sym, sc, ci)
 		// Bits for each child edge D: can one pass from D through ci to
 		// ci's parent side?
 		if o.parentCluster[ci] != ci {
@@ -385,7 +385,7 @@ func BuildOracle(c *parallel.Ctx, vw graph.View, d *decomp.Decomposition, k int,
 	// cover the whole graph). One ρ query per vertex, one materialization
 	// per implicit component: O(nk) expected reads.
 	for v := int32(0); int(v) < vw.G.N(); v++ {
-		s := d.Rho(m, sym, v)
+		s := d.RhoS(m, sym, sc.dsc, v)
 		if d.CenterIndex(m, s) < 0 && s == v {
 			ref, _ := o.smallComponent(m, sym, v)
 			o.NumBCC += ref.NumBCC

@@ -16,9 +16,10 @@ type treeNbr struct {
 // Scratch is a reusable symmetric-memory workspace for the biconnectivity
 // query path: the decomposition-search scratch plus the local-graph build
 // buffers of buildLocal. A serving worker allocates one Scratch and
-// threads it through every query it answers; nil everywhere means
-// "allocate per call", the paper-pristine original behavior kept by the
-// reference/equivalence tests.
+// threads it through every query it answers, and BuildOracle uses one for
+// its whole build; nil everywhere means "allocate per call", the
+// paper-pristine original behavior kept by the reference/equivalence
+// tests.
 //
 // A Scratch is not safe for concurrent use; it is worker-local by design.
 // It depends only on the oracle's type, never on a particular snapshot, so

@@ -55,11 +55,14 @@ type Oracle struct {
 
 // clustersGraph is the implicit clusters graph: vertex i is the i-th center
 // of the decomposition; neighbors are recomputed on every visit via the
-// O(k²) listing of Lemma 4.3 and never written to asymmetric memory.
+// O(k²) listing of Lemma 4.3 and never written to asymmetric memory. The
+// listings share one search scratch, which is safe because the LDD calls
+// Visit sequentially and no callback touches the scratch.
 type clustersGraph struct {
 	d   *decomp.Decomposition
 	m   *asym.Meter
 	sym *asym.SymTracker
+	sc  *decomp.Scratch
 }
 
 // Size returns the number of centers.
@@ -68,7 +71,7 @@ func (cg clustersGraph) Size() int { return cg.d.NumCenters() }
 // Visit enumerates the clusters-graph neighbors of center index v.
 func (cg clustersGraph) Visit(v int32, f func(u int32)) {
 	s := cg.d.Center(cg.m, int(v))
-	for _, e := range cg.d.NeighborCenters(cg.m, cg.sym, s) {
+	for _, e := range cg.d.NeighborCentersS(cg.m, cg.sym, cg.sc, s) {
 		f(int32(cg.d.CenterIndex(cg.m, e.Other)))
 	}
 }
@@ -98,7 +101,7 @@ func BuildOracle(c *parallel.Ctx, vw graph.View, k int, seed uint64) *Oracle {
 	// Step 2: the write-efficient connectivity algorithm of §4.2 with
 	// β = 1/k on the *implicit* clusters graph: the LDD queries neighbor
 	// lists on demand (Lemma 4.3) instead of writing Θ(m') edges.
-	cg := clustersGraph{d: d, m: m, sym: c.Sym()}
+	cg := clustersGraph{d: d, m: m, sym: c.Sym(), sc: decomp.NewScratch()}
 	nPrime := cg.Size()
 	o := &Oracle{D: d}
 	if nPrime == 0 {
@@ -250,10 +253,11 @@ func (o *Oracle) VisitSpanningForest(m *asym.Meter, sym *asym.SymTracker, visit 
 	// Cluster-internal trees: every non-center vertex contributes the
 	// first edge of its path to its center. Covering all vertices costs
 	// one ρ-path query each.
+	sc := decomp.NewScratch()
 	n := d.Graph().N()
 	implicitRoots := map[int32]bool{}
 	for v := int32(0); int(v) < n; v++ {
-		path := d.PathToCenter(m, sym, v)
+		path := d.PathToCenterS(m, sym, sc, v)
 		if len(path) >= 2 {
 			visit(path[0], path[1])
 		}
@@ -279,7 +283,7 @@ func (o *Oracle) VisitSpanningForest(m *asym.Meter, sym *asym.SymTracker, visit 
 			var next []int32
 			for _, ci := range frontier {
 				center := d.Center(m, int(ci))
-				for _, e := range d.NeighborCenters(m, sym, center) {
+				for _, e := range d.NeighborCentersS(m, sym, sc, center) {
 					cj := d.CenterIndex(m, e.Other)
 					if cj < 0 || seen[cj] {
 						continue

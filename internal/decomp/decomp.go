@@ -109,14 +109,19 @@ func Build(c *parallel.Ctx, vw graph.View, k int, seed uint64, opt Options) *Dec
 		}
 	}
 
+	// Both passes below recompute ρ with a search on every use (the
+	// decomposition never stores it); they share one search scratch so
+	// those searches reuse their buffers instead of allocating per call.
+	sc := NewScratch()
+
 	// Unconnected-graph extension: a component of size >= k that drew no
 	// primary gets its smallest vertex marked primary. Components smaller
 	// than k are served by an implicit (never written) center.
-	d.extendUnconnected(c, vw, opt)
+	d.extendUnconnected(c, vw, opt, sc)
 
 	// Lines 3-4: carve every primary cluster into size-<=k pieces by
 	// adding secondary centers.
-	d.addSecondaryCenters(c, vw, opt)
+	d.addSecondaryCenters(c, vw, opt, sc)
 
 	// Materialize the sorted center list (the clusters-graph numbering):
 	// O(n) reads to scan the bitmap, O(n/k) writes to store the list.

@@ -18,8 +18,10 @@ import (
 // vertices, so a scratch amortizes to a handful of small, long-lived
 // buffers: a serving worker allocates one Scratch and threads it through
 // every query it answers, making the steady-state query path allocation
-// free. A nil *Scratch everywhere means "allocate per call", the original
-// behavior — the paper-table experiments keep it.
+// free, and each build (Build, and the bicc and conn oracle builds) threads
+// one through every ρ search it runs. A nil *Scratch everywhere means
+// "allocate per call", the original behavior — the paper-pristine reference
+// tests keep it.
 //
 // A Scratch is not safe for concurrent use; it is worker-local by design.
 // Reuse does not change charged costs: meters see exactly the reads/ops a
@@ -58,6 +60,15 @@ func (sc *Scratch) reset() {
 	sc.next = sc.next[:0]
 }
 
+// searchState is the result of one search: the tie-broken shortest-path
+// tree and the visit order, borrowed from the scratch when one is supplied.
+type searchState struct {
+	parent  map[int32]int32 // tie-broken SP tree, parent[src] = src
+	order   []int32         // visit order
+	stopped bool            // visit returned true
+	hit     int32           // the vertex at which visit stopped
+}
+
 // search is the deterministic priority BFS of §3. Starting from v, it calls
 // visit(u) for each reached vertex in L(SP(v,·)) order. visit returns true
 // to stop the whole search at u. parent pointers record the tie-broken
@@ -73,19 +84,21 @@ func (sc *Scratch) reset() {
 // With a nil scratch every call allocates fresh state, the original
 // behavior.
 //
+// Symmetric memory: each reached vertex holds two words (its parent entry
+// and its slot in the visit order). Nothing is freed before the search
+// returns, so the words are summed as the search goes and charged to sym
+// with one Acquire/Release pair at the end — one tracker update per search
+// instead of one per vertex. The visit callbacks acquire nothing, so a
+// tracker without concurrent users sees the same high-water mark as with
+// per-vertex acquires.
+//
 // Order correctness: the frontier is processed in discovery order and each
 // vertex's neighbors are scanned in increasing id (= decreasing priority
 // rank) order, so discovery order within a level is exactly the
 // lexicographic path-priority order the paper's tie-breaking rule defines,
 // and each vertex's first discoverer is its unique tie-broken shortest-path
 // predecessor.
-type searchState struct {
-	parent  map[int32]int32 // tie-broken SP tree, parent[src] = src
-	order   []int32         // visit order
-	stopped bool            // visit returned true
-	hit     int32           // the vertex at which visit stopped
-}
-
+//
 //wec:noalloc
 func (d *Decomposition) search(m *asym.Meter, sym *asym.SymTracker, sc *Scratch, v int32, cap int, visit func(u int32) bool) searchState {
 	var st searchState
@@ -100,13 +113,11 @@ func (d *Decomposition) search(m *asym.Meter, sym *asym.SymTracker, sc *Scratch,
 	st.parent[v] = v
 	frontier = append(frontier, v) //wec:alloc amortized scratch growth; steady state stays within capacity
 	st.order = append(st.order, v) //wec:alloc amortized scratch growth; steady state stays within capacity
-	acquired := 2
-	if sym != nil {
-		sym.Acquire(acquired)
-	}
 	release := func() {
 		if sym != nil {
-			sym.Release(acquired)
+			words := 2 * len(st.order) // parent entry + visit-order slot per reached vertex
+			sym.Acquire(words)
+			sym.Release(words)
 		}
 		if sc != nil {
 			// Hand grown buffers back so the capacity survives to the
@@ -159,10 +170,6 @@ func (d *Decomposition) search(m *asym.Meter, sym *asym.SymTracker, sc *Scratch,
 				}
 				st.parent[u] = x
 				st.order = append(st.order, u) //wec:alloc amortized scratch growth; steady state stays within capacity
-				if sym != nil {
-					sym.Acquire(2)
-					acquired += 2
-				}
 				m.Op(1)
 				if visit(u) {
 					if span != nil {
@@ -274,17 +281,25 @@ func (d *Decomposition) rhoPath(m *asym.Meter, sym *asym.SymTracker, sc *Scratch
 // of a primary-free small component the path is recomputed by a restricted
 // search. O(k) expected reads, no writes.
 func (d *Decomposition) PathToCenter(m *asym.Meter, sym *asym.SymTracker, v int32) []int32 {
-	c, path := d.rhoPath(m, sym, nil, v)
+	return d.PathToCenterS(m, sym, nil, v)
+}
+
+// PathToCenterS is PathToCenter with a caller-provided reusable scratch
+// (nil allocates per call). The returned path is borrowed from the scratch
+// and only valid until its next search. Charged costs are identical to
+// PathToCenter's.
+//
+//wec:noalloc
+func (d *Decomposition) PathToCenterS(m *asym.Meter, sym *asym.SymTracker, sc *Scratch, v int32) []int32 {
+	c, path := d.rhoPath(m, sym, sc, v)
 	if path != nil {
 		return path
 	}
-	// Implicit center: search from v until c is reached; the parent chain
-	// gives the deterministic path.
-	st := d.search(m, sym, nil, v, 0, func(u int32) bool { return u == c })
-	if !st.stopped {
-		return []int32{v} // isolated vertex (v == c)
-	}
-	return st.pathFrom(nil, v, c)
+	// Implicit center: c is the smallest vertex of v's component, so a
+	// search from v reaches it; the parent chain gives the deterministic
+	// path ([v] itself when v == c).
+	st := d.search(m, sym, sc, v, 0, func(u int32) bool { return u == c })
+	return st.pathFrom(sc, v, c)
 }
 
 // Rho0 returns ρ0(v), the nearest primary center (or the implicit center of
@@ -317,51 +332,19 @@ func (d *Decomposition) Rho0(m *asym.Meter, sym *asym.SymTracker, v int32) int32
 // through C(s), so a search from s that only expands vertices with ρ = s
 // finds the whole cluster.
 func (d *Decomposition) Cluster(m *asym.Meter, sym *asym.SymTracker, s int32) []int32 {
-	var out []int32
-	frontier := []int32{s}
-	seen := map[int32]bool{s: true}
-	if sym != nil {
-		sym.Acquire(1)
-		defer sym.Release(1)
-	}
-	vw := graph.View{G: d.g, M: m}
-	for len(frontier) > 0 {
-		var next []int32
-		for _, x := range frontier {
-			if d.Rho(m, sym, x) != s {
-				continue
-			}
-			out = append(out, x)
-			deg := vw.Degree(int(x))
-			for i := 0; i < deg; i++ {
-				u := vw.Neighbor(int(x), i)
-				if !seen[u] {
-					seen[u] = true
-					if sym != nil {
-						sym.Acquire(1)
-						defer sym.Release(1)
-					}
-					next = append(next, u)
-				}
-			}
-		}
-		frontier = next
-	}
-	return out
+	return d.ClusterS(m, sym, NewScratch(), s)
 }
 
 // ClusterS is Cluster with a caller-provided reusable scratch (nil
-// delegates to Cluster) — the warm biconnectivity query path. The returned
-// slice is borrowed from the scratch and only valid until its next
-// ClusterS/NeighborCentersS call. Charged costs and the symmetric-memory
-// high-water are identical to Cluster's: the same acquires happen at the
-// same points, and the per-seen deferred releases (all of which run at
-// return) are replaced by one counted release at return.
+// allocates one for the call) — the warm biconnectivity query path. The
+// returned slice is borrowed from the scratch and only valid until its
+// next ClusterS/NeighborCentersS call. One symmetric word is held per seen
+// vertex until return.
 //
 //wec:noalloc
 func (d *Decomposition) ClusterS(m *asym.Meter, sym *asym.SymTracker, sc *Scratch, s int32) []int32 {
 	if sc == nil {
-		return d.Cluster(m, sym, s)
+		sc = NewScratch() //wec:alloc cold path without a scratch; the zero-alloc gate runs warmed
 	}
 	if sc.cSeen == nil {
 		sc.cSeen = make(map[int32]bool, 64) //wec:alloc one-time lazy init; reused for the scratch's lifetime
@@ -419,50 +402,18 @@ type CenterEdge struct {
 
 // NeighborCenters returns the clusters-graph neighbors of center s.
 func (d *Decomposition) NeighborCenters(m *asym.Meter, sym *asym.SymTracker, s int32) []CenterEdge {
-	members := d.Cluster(m, sym, s)
-	inCluster := make(map[int32]bool, len(members))
-	for _, v := range members {
-		inCluster[v] = true
-	}
-	if sym != nil {
-		sym.Acquire(len(members))
-		defer sym.Release(len(members))
-	}
-	var out []CenterEdge
-	seen := map[int32]int{} // neighbor center -> index into out
-	vw := graph.View{G: d.g, M: m}
-	for _, v := range members {
-		deg := vw.Degree(int(v))
-		for i := 0; i < deg; i++ {
-			u := vw.Neighbor(int(v), i)
-			if inCluster[u] {
-				continue
-			}
-			t := d.Rho(m, sym, u)
-			if t == s {
-				continue
-			}
-			if j, ok := seen[t]; ok {
-				out[j].Multiplicity++
-				continue
-			}
-			seen[t] = len(out)
-			out = append(out, CenterEdge{Other: t, From: v, To: u, Multiplicity: 1})
-		}
-	}
-	return out
+	return d.NeighborCentersS(m, sym, NewScratch(), s)
 }
 
 // NeighborCentersS is NeighborCenters with a caller-provided reusable
-// scratch (nil delegates to NeighborCenters). Like the original it runs the
-// cluster listing itself, so its charged costs stay identical; the returned
-// slice — and the members slice of the inner ClusterS call — are borrowed
-// from the scratch and only valid until its next use.
+// scratch (nil allocates one for the call). It runs the cluster listing
+// itself; the returned slice — and the members slice of the inner ClusterS
+// call — are borrowed from the scratch and only valid until its next use.
 //
 //wec:noalloc
 func (d *Decomposition) NeighborCentersS(m *asym.Meter, sym *asym.SymTracker, sc *Scratch, s int32) []CenterEdge {
 	if sc == nil {
-		return d.NeighborCenters(m, sym, s)
+		sc = NewScratch() //wec:alloc cold path without a scratch; the zero-alloc gate runs warmed
 	}
 	members := d.ClusterS(m, sym, sc, s)
 	if sc.ncIn == nil {
@@ -512,15 +463,16 @@ func (d *Decomposition) NeighborCentersS(m *asym.Meter, sym *asym.SymTracker, sc
 // finding a primary marks the component's smallest vertex (only the
 // smallest vertex performs the mark, so each component is marked once).
 // Searches are capped at O(k log n) visits — the whp bound of Lemma 3.2 —
-// so the pass costs O(nk) expected operations and O(n/k) writes.
-func (d *Decomposition) extendUnconnected(c *parallel.Ctx, vw graph.View, opt Options) {
+// so the pass costs O(nk) expected operations and O(n/k) writes. sc is
+// the build's reusable search scratch.
+func (d *Decomposition) extendUnconnected(c *parallel.Ctx, vw graph.View, opt Options, sc *Scratch) {
 	n := vw.G.N()
 	cap := opt.MaxSearch
 	if cap <= 0 {
 		cap = 4 * d.k * max(1, log2ceil(max(2, n)))
 	}
 	for v := 0; v < n; v++ {
-		st := d.search(vw.M, c.Sym(), nil, int32(v), cap, func(u int32) bool {
+		st := d.search(vw.M, c.Sym(), sc, int32(v), cap, func(u int32) bool {
 			vw.M.Read(1)
 			return d.isPrimary.RawGet(int(u)) //wec:unmetered charged by the vw.M.Read(1) above
 		})

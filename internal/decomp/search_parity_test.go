@@ -1,6 +1,7 @@
 package decomp
 
 import (
+	"slices"
 	"testing"
 
 	"repro/internal/asym"
@@ -11,7 +12,9 @@ import (
 // QueryOracle.Answer scratch contract at the search layer: reusing a Scratch must not change charged
 // costs. Rho early-exits mid-scan whenever a primary is hit partway through
 // an adjacency span, so this exercises exactly the partial-span charging
-// that a bulk up-front charge would get wrong.
+// that a bulk up-front charge would get wrong. The cluster and
+// neighbor-center listings and the center paths get the same check, with
+// the symmetric-memory high-water compared as well.
 func TestScratchChargesMatchNilScratch(t *testing.T) {
 	graphs := []*graph.Graph{
 		graph.Cycle(64),
@@ -26,17 +29,43 @@ func TestScratchChargesMatchNilScratch(t *testing.T) {
 			d, _, _ := build(g, k, 7, Options{})
 			sc := NewScratch()
 			for v := 0; v < g.N(); v++ {
-				slow := asym.NewMeter(asym.DefaultOmega)
-				fast := asym.NewMeter(asym.DefaultOmega)
-				want := d.Rho(slow, nil, int32(v))
-				got := d.RhoS(fast, nil, sc, int32(v))
+				slow, fast := newProbe(), newProbe()
+				want := d.Rho(slow.m, slow.sym, int32(v))
+				got := d.RhoS(fast.m, fast.sym, sc, int32(v))
 				if got != want {
 					t.Fatalf("graph %d k=%d: RhoS(%d)=%d, Rho=%d", gi, k, v, got, want)
 				}
-				if slow.Reads() != fast.Reads() || slow.Writes() != fast.Writes() || slow.Ops() != fast.Ops() {
-					t.Fatalf("graph %d k=%d v=%d: scratch charges r=%d w=%d o=%d, nil-scratch r=%d w=%d o=%d",
-						gi, k, v, fast.Reads(), fast.Writes(), fast.Ops(), slow.Reads(), slow.Writes(), slow.Ops())
+				fast.check(t, slow, "Rho", gi, k, int32(v))
+			}
+			// Cluster listings, neighbor-center listings and center paths:
+			// a reused scratch must charge what a fresh one does and reach
+			// the same symmetric high-water, whatever earlier calls left in
+			// its buffers.
+			for ci := 0; ci < d.NumCenters(); ci++ {
+				s := d.Center(asym.NewMeter(1), ci)
+				fresh, reused := newProbe(), newProbe()
+				wantC := d.Cluster(fresh.m, fresh.sym, s)
+				gotC := d.ClusterS(reused.m, reused.sym, sc, s)
+				if !slices.Equal(gotC, wantC) {
+					t.Fatalf("graph %d k=%d: ClusterS(%d)=%v, Cluster=%v", gi, k, s, gotC, wantC)
 				}
+				reused.check(t, fresh, "Cluster", gi, k, s)
+				fresh, reused = newProbe(), newProbe()
+				wantN := d.NeighborCenters(fresh.m, fresh.sym, s)
+				gotN := d.NeighborCentersS(reused.m, reused.sym, sc, s)
+				if !slices.Equal(gotN, wantN) {
+					t.Fatalf("graph %d k=%d: NeighborCentersS(%d)=%v, NeighborCenters=%v", gi, k, s, gotN, wantN)
+				}
+				reused.check(t, fresh, "NeighborCenters", gi, k, s)
+			}
+			for v := 0; v < g.N(); v++ {
+				slow, fast := newProbe(), newProbe()
+				want := d.PathToCenter(slow.m, slow.sym, int32(v))
+				got := d.PathToCenterS(fast.m, fast.sym, sc, int32(v))
+				if !slices.Equal(got, want) {
+					t.Fatalf("graph %d k=%d: PathToCenterS(%d)=%v, PathToCenter=%v", gi, k, v, got, want)
+				}
+				fast.check(t, slow, "PathToCenter", gi, k, int32(v))
 			}
 			// Cap-limited searches stop mid-scan at arbitrary slots; both
 			// paths must charge the same partial-span reads there too.
@@ -53,5 +82,28 @@ func TestScratchChargesMatchNilScratch(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// costProbe is a fresh meter and symmetric tracker for one call whose
+// charges are compared against another call's.
+type costProbe struct {
+	m   *asym.Meter
+	sym *asym.SymTracker
+}
+
+func newProbe() costProbe {
+	return costProbe{asym.NewMeter(asym.DefaultOmega), asym.NewSymTracker(0)}
+}
+
+// check fails the test unless p charged exactly what want did: reads,
+// writes, ops and the symmetric high-water.
+func (p costProbe) check(t *testing.T, want costProbe, what string, gi, k int, x int32) {
+	t.Helper()
+	if p.m.Reads() != want.m.Reads() || p.m.Writes() != want.m.Writes() || p.m.Ops() != want.m.Ops() ||
+		p.sym.HighWater() != want.sym.HighWater() {
+		t.Fatalf("graph %d k=%d %s(%d): reused scratch charges r=%d w=%d o=%d sym=%d, per-call state r=%d w=%d o=%d sym=%d",
+			gi, k, what, x, p.m.Reads(), p.m.Writes(), p.m.Ops(), p.sym.HighWater(),
+			want.m.Reads(), want.m.Writes(), want.m.Ops(), want.sym.HighWater())
 	}
 }

@@ -27,8 +27,9 @@ type clusterTree struct {
 // linking each member to its shortest-path parent. Each membership test is
 // a ρ query (O(k) expected reads), so the search costs O(k·limit) expected
 // operations and no writes — the "Search from v for the first k vertices
-// that have v as their center" step of Algorithm 1.
-func (d *Decomposition) clusterSearch(m *asym.Meter, sym *asym.SymTracker, s int32, limit int) clusterTree {
+// that have v as their center" step of Algorithm 1. The ρ queries run on
+// the build's reusable scratch sc.
+func (d *Decomposition) clusterSearch(m *asym.Meter, sym *asym.SymTracker, sc *Scratch, s int32, limit int) clusterTree {
 	ct := clusterTree{root: s, parent: map[int32]int32{s: s}}
 	seen := map[int32]bool{s: true}
 	frontier := []int32{s}
@@ -53,7 +54,7 @@ func (d *Decomposition) clusterSearch(m *asym.Meter, sym *asym.SymTracker, s int
 					continue
 				}
 				seen[u] = true
-				c, path := d.rhoPath(m, sym, nil, u)
+				c, path := d.rhoPath(m, sym, sc, u)
 				if c != s {
 					continue
 				}
@@ -120,13 +121,14 @@ func (ct *clusterTree) rootChildren() []int32 {
 	return out
 }
 
-// addSecondaryCenters runs SECONDARYCENTERS on every primary center.
-func (d *Decomposition) addSecondaryCenters(c *parallel.Ctx, vw graph.View, opt Options) {
+// addSecondaryCenters runs SECONDARYCENTERS on every primary center, all
+// on the build's one search scratch sc (the recursion is sequential).
+func (d *Decomposition) addSecondaryCenters(c *parallel.Ctx, vw graph.View, opt Options, sc *Scratch) {
 	n := vw.G.N()
 	for v := 0; v < n; v++ {
 		vw.M.Read(1)
 		if d.isPrimary.RawGet(v) { //wec:unmetered charged by the vw.M.Read(1) above
-			d.secondaryCenters(c, vw, int32(v), opt, 0)
+			d.secondaryCenters(c, vw, sc, int32(v), opt, 0)
 		}
 	}
 }
@@ -135,11 +137,11 @@ func (d *Decomposition) addSecondaryCenters(c *parallel.Ctx, vw graph.View, opt 
 // recursion re-runs the cluster search after every mark because marking a
 // center changes ρ for the subtree below it — that recomputation, rather
 // than stored state, is exactly the read-for-write trade the paper makes.
-func (d *Decomposition) secondaryCenters(c *parallel.Ctx, vw graph.View, v int32, opt Options, depth int) {
+func (d *Decomposition) secondaryCenters(c *parallel.Ctx, vw graph.View, sc *Scratch, v int32, opt Options, depth int) {
 	if depth > d.g.N() {
 		panic("decomp: secondaryCenters recursion exceeded n") // cannot happen
 	}
-	ct := d.clusterSearch(vw.M, c.Sym(), v, d.k+1)
+	ct := d.clusterSearch(vw.M, c.Sym(), sc, v, d.k+1)
 	if ct.exhausted && len(ct.members) <= d.k {
 		// Line 8: the whole cluster fits.
 		c.AddDepth(int64(len(ct.members)))
@@ -178,7 +180,7 @@ func (d *Decomposition) secondaryCenters(c *parallel.Ctx, vw graph.View, v int32
 		var maxChild int64
 		for _, tgt := range targets {
 			dd := c.Measure(func(cc *parallel.Ctx) {
-				d.secondaryCenters(cc, vw, tgt, opt, depth+1)
+				d.secondaryCenters(cc, vw, sc, tgt, opt, depth+1)
 			})
 			if dd > maxChild {
 				maxChild = dd
@@ -188,6 +190,6 @@ func (d *Decomposition) secondaryCenters(c *parallel.Ctx, vw graph.View, v int32
 		return
 	}
 	d.markSecondary(u)
-	d.secondaryCenters(c, vw, v, opt, depth+1)
-	d.secondaryCenters(c, vw, u, opt, depth+1)
+	d.secondaryCenters(c, vw, sc, v, opt, depth+1)
+	d.secondaryCenters(c, vw, sc, u, opt, depth+1)
 }
