@@ -26,6 +26,7 @@ test:
 
 race:
 	$(GO) test -race $(RACE_PKGS)
+	$(GO) test -race -count=20 -run '^(TestEngineWALBeforeStage|TestLazySingleFlight)$$' ./internal/serve/
 
 # Every paper-table benchmark executes once (smoke); use
 # `go test -bench . -benchtime 3s .` for real measurements.

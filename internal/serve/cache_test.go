@@ -8,12 +8,11 @@ import (
 	"repro/internal/oracle"
 )
 
-// This file tests the serving layer's result memoization (batch-local
-// dedup + the epoch-keyed shared table): cached dispatch must be
-// observably identical to a cache-free reference that recomputes every
-// answer — same answers AND same per-kind charged costs, since hits replay
-// the fill's recorded charges — and a snapshot swap must invalidate every
-// memoized result.
+// This file tests the serving layer's result memoization (the epoch-keyed
+// shared table): cached dispatch must be observably identical to a
+// cache-free reference that recomputes every answer — same answers AND
+// same per-kind charged costs, since hits replay the fill's recorded
+// charges — and a snapshot swap must invalidate every memoized result.
 
 // referenceDo answers qs with no caching at all, against the oracles of
 // e's current snapshot: each query calls its adapter directly with nil
@@ -62,8 +61,8 @@ func referenceDo(t *testing.T, e *Engine, qs []Query) ([]Result, map[string]Kind
 }
 
 // dupBatch builds a duplicate-laden batch over all six kinds: queries
-// cycle through a small hot set, so both the batch-local dedup map and the
-// shared table get exercised.
+// cycle through a small hot set, so the shared table serves repeats both
+// within one batch and across batches.
 func dupBatch(n, hot int, gN int32, seed uint64) []Query {
 	rng := graph.NewRNG(seed)
 	kinds := []Kind{KindConnected, KindComponent, KindBridge, KindArticulation, KindBiconnected, KindTwoEdgeConnected}
@@ -123,11 +122,30 @@ func TestResultCacheEquivalentToLegacy(t *testing.T) {
 	if fs.ResultCache.Hits == 0 {
 		t.Fatalf("duplicate-laden rounds produced no shared-table hits: %+v", fs.ResultCache)
 	}
-	if fs.ResultCache.BatchDedup == 0 {
-		t.Fatalf("duplicate-laden rounds produced no batch-local dedup hits: %+v", fs.ResultCache)
-	}
 	if fs.ClusterCache.Misses == 0 {
 		t.Fatalf("bicc queries produced no cluster-cache fills: %+v", fs.ClusterCache)
+	}
+
+	// In-batch duplicates: one chunk of a fresh engine answers a single
+	// duplicate-laden batch. Every repeat of a (kind, u, v) already filled
+	// in that batch must be a shared-table hit, so misses are bounded by
+	// the distinct keys plus the fills a slot collision evicted.
+	one := New(g, Config{Omega: 64, Seed: 7, Workers: 1})
+	defer one.Close()
+	qs := dupBatch(512, 40, int32(g.N()), 200)
+	want1, _ := referenceDo(t, one, qs)
+	sameResults(t, one.Do(qs), want1, "single batch")
+	distinct := map[Query]bool{}
+	for _, q := range qs {
+		distinct[q] = true
+	}
+	rc := one.Stats().ResultCache
+	if rc.Misses > int64(len(distinct))+rc.Evictions {
+		t.Fatalf("single batch: %d misses for %d distinct queries and %d evictions: %+v",
+			rc.Misses, len(distinct), rc.Evictions, rc)
+	}
+	if rc.Hits+rc.Misses != int64(len(qs)) {
+		t.Fatalf("single batch: hits+misses = %d, want %d: %+v", rc.Hits+rc.Misses, len(qs), rc)
 	}
 }
 

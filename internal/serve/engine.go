@@ -221,13 +221,11 @@ type KindStats struct {
 }
 
 // ResultCacheStats is the epoch-keyed hot-pair result cache telemetry
-// (resultcache.go). BatchDedup counts answers served from the batch-local
-// duplicate map, which sits in front of the shared table.
+// (resultcache.go).
 type ResultCacheStats struct {
-	Hits       int64 `json:"hits"`
-	Misses     int64 `json:"misses"`
-	Evictions  int64 `json:"evictions"`
-	BatchDedup int64 `json:"batch_dedup"`
+	Hits      int64 `json:"hits"`
+	Misses    int64 `json:"misses"`
+	Evictions int64 `json:"evictions"`
 }
 
 // CacheStats is the oracle-side derived-structure cache telemetry (the
@@ -272,7 +270,7 @@ type Stats struct {
 	BuildBicc    asym.Cost            `json:"build_bicc"`
 	BuildCosts   map[string]asym.Cost `json:"build_costs"`
 	Queries      map[string]KindStats `json:"queries"`
-	TotalQueries int64                `json:"total_queries"`
+	TotalQueries int64                `json:"total_queries"` // sum of Queries[*].Count
 
 	// Query-path cache telemetry: the engine's result memoization and the
 	// bicc oracle's cluster local-graph cache. Both replay fill-time
@@ -472,21 +470,19 @@ type Engine struct {
 	// (resultcache.go); the atomics below are its cumulative telemetry
 	// plus the retired snapshots' cluster-cache counters (the live
 	// snapshot's are read on demand, see clusterCacheCounts).
-	rcache    *resultCache
-	rcHits    atomic.Int64
-	rcMisses  atomic.Int64
-	rcEvicts  atomic.Int64
-	dedupHits atomic.Int64
-	ccHits    atomic.Int64
-	ccMisses  atomic.Int64
-	ccEvicts  atomic.Int64
+	rcache   *resultCache
+	rcHits   atomic.Int64
+	rcMisses atomic.Int64
+	rcEvicts atomic.Int64
+	ccHits   atomic.Int64
+	ccMisses atomic.Int64
+	ccEvicts atomic.Int64
 
 	// Per-kind aggregates. The meters are shared long-lived accumulators
 	// (atomic internally); workers merge into them only at shard
 	// completion, so the per-query hot path touches worker-local state
 	// only.
 	kinds []kindAgg
-	total atomic.Int64
 	disp  *asym.Meter // build/rebuild root-context overhead, not per-kind
 
 	// Dynamic-update state (update.go). mu guards everything below plus
@@ -867,30 +863,21 @@ type worker struct {
 	// depends only on the oracle's type, so a pooled worker's scratch
 	// stays valid across snapshot swaps.
 	scratch []any
-	// batchSeen dedupes repeated (kind, u, v) queries within one chunk.
-	// Cleared in getWorker, so entries never outlive the chunk. The key
-	// carries the answering oracle's built epoch because one chunk can mix
-	// strict and bounded-staleness queries for the same (kind, u, v) —
-	// those may resolve to different oracle states and must never share an
-	// entry.
-	batchSeen map[bsKey]rcVal
 	// fillSym isolates the symmetric peak of one cache-filling query so it
 	// can be recorded for replay: it is Reset before each fill, and the
 	// observed peak is pulsed onto sym (every query returns its footprint
 	// to zero, so the worker's cumulative high-water is the max of
 	// per-query peaks either way).
 	fillSym *asym.SymTracker
-	dedup   int64 // batch-local dedup hits, flushed by mergeInto
 }
 
 func (e *Engine) newWorker() *worker {
 	w := &worker{
-		meters:    make([]*asym.Meter, len(e.specs)),
-		counts:    make([]int64, len(e.specs)),
-		errs:      make([]int64, len(e.specs)),
-		sym:       asym.NewSymTracker(e.sym),
-		batchSeen: make(map[bsKey]rcVal, 64),
-		fillSym:   asym.NewSymTracker(0),
+		meters:  make([]*asym.Meter, len(e.specs)),
+		counts:  make([]int64, len(e.specs)),
+		errs:    make([]int64, len(e.specs)),
+		sym:     asym.NewSymTracker(e.sym),
+		fillSym: asym.NewSymTracker(0),
 	}
 	for i := range w.meters {
 		w.meters[i] = asym.NewMeter(e.omega)
@@ -913,7 +900,6 @@ func (e *Engine) getWorker(s *snapshot) *worker {
 			}
 		}
 	}
-	clear(w.batchSeen) // chunk-local: entries must not leak across batches
 	return w
 }
 
@@ -939,11 +925,6 @@ func (w *worker) mergeInto(e *Engine) {
 		e.kinds[i].meter.Merge(w.meters[i].Snapshot())
 		e.kinds[i].count.Add(w.counts[i])
 		e.kinds[i].errors.Add(w.errs[i])
-		e.total.Add(w.counts[i])
-	}
-	if w.dedup != 0 {
-		e.dedupHits.Add(w.dedup)
-		w.dedup = 0
 	}
 }
 
@@ -1031,8 +1012,8 @@ func (e *Engine) dispatch(s *snapshot, w *worker, q Query, labels *[]int32) (Res
 	// Resolve the serving oracle: one nil check for fresh slots; for a
 	// deferred slot, the lazily built instance, the stale one (bounded
 	// queries only), or the single-flight on-demand build (lazy.go). ep is
-	// the epoch the resolved oracle's state was built at — it keys both
-	// result-cache layers, so strict and bounded answers, and answers from
+	// the epoch the resolved oracle's state was built at — it keys the
+	// result table, so strict and bounded answers, and answers from
 	// different build generations, never share an entry.
 	qo, ep, err := e.resolveOracle(s, ref.fac, bounded)
 	if err != nil {
@@ -1045,20 +1026,14 @@ func (e *Engine) dispatch(s *snapshot, w *worker, q Query, labels *[]int32) (Res
 		// this worker was equipped; fill it on first contact.
 		w.scratch[ref.fac] = qo.NewScratch() //wec:alloc one-time per-worker scratch fill after a lazy build
 	}
-	// Result memoization, two layers: the chunk-local batchSeen map
-	// (duplicates inside one batch), then the engine's epoch-keyed shared
-	// table. Hits replay the memoized query's recorded cost and symmetric
-	// peak, so per-kind telemetry is identical to recomputing; misses
-	// compute, record, and publish. Errors are never memoized.
+	// Result memoization: the engine's epoch-keyed shared table. Hits
+	// replay the memoized query's recorded cost and symmetric peak, so
+	// per-kind telemetry is identical to recomputing; misses compute,
+	// record, and publish. Errors are never memoized.
 	key := rcKey{agg: int32(ref.agg), u: q.U, v: q.V}
-	bkey := bsKey{k: key, epoch: ep}
 	var av oracle.AnswerVal
-	if hit, ok := w.batchSeen[bkey]; ok {
-		w.dedup++
-		av = w.replay(m, hit)
-	} else if hit, ok := e.rcache.get(ep, key); ok {
+	if hit, ok := e.rcache.get(ep, key); ok {
 		e.rcHits.Add(1)
-		w.batchSeen[bkey] = hit
 		av = w.replay(m, hit)
 	} else {
 		e.rcMisses.Add(1)
@@ -1077,7 +1052,6 @@ func (e *Engine) dispatch(s *snapshot, w *worker, q Query, labels *[]int32) (Res
 			return Result{Err: err.Error()}, ref.agg
 		}
 		val := rcVal{av: av, cost: m.Snapshot().Sub(before), peak: w.fillSym.HighWater()}
-		w.batchSeen[bkey] = val
 		if e.rcache.put(ep, key, val) {
 			e.rcEvicts.Add(1)
 		}
@@ -1173,17 +1147,16 @@ func (e *Engine) Stats() Stats {
 	e.mu.Lock()
 	sn := e.snap.Load()
 	s := Stats{
-		GraphN:       sn.g.N(),
-		GraphM:       sn.g.M(),
-		Omega:        e.omega,
-		K:            e.k,
-		Workers:      e.workers,
-		BuildConn:    e.costByName(sn, "conn"),
-		BuildBicc:    e.costByName(sn, "bicc"),
-		BuildCosts:   e.buildCosts(sn),
-		Queries:      make(map[string]KindStats, len(e.specs)),
-		TotalQueries: e.total.Load(),
-		Epoch:        sn.epoch,
+		GraphN:     sn.g.N(),
+		GraphM:     sn.g.M(),
+		Omega:      e.omega,
+		K:          e.k,
+		Workers:    e.workers,
+		BuildConn:  e.costByName(sn, "conn"),
+		BuildBicc:  e.costByName(sn, "bicc"),
+		BuildCosts: e.buildCosts(sn),
+		Queries:    make(map[string]KindStats, len(e.specs)),
+		Epoch:      sn.epoch,
 	}
 	s.PendingUpdates = e.unapplied
 	s.TotalRebuilds = e.nRebuilds
@@ -1208,17 +1181,18 @@ func (e *Engine) Stats() Stats {
 	s.NumComponents, s.NumBCC = sn.counts()
 	s.ConnChainDepth = connChainDepthOf(sn)
 	for i, spec := range e.specs {
-		s.Queries[string(spec.Kind)] = KindStats{
+		ks := KindStats{
 			Count:  e.kinds[i].count.Load(),
 			Errors: e.kinds[i].errors.Load(),
 			Cost:   e.kinds[i].meter.Snapshot(),
 		}
+		s.Queries[string(spec.Kind)] = ks
+		s.TotalQueries += ks.Count
 	}
 	s.ResultCache = ResultCacheStats{
-		Hits:       e.rcHits.Load(),
-		Misses:     e.rcMisses.Load(),
-		Evictions:  e.rcEvicts.Load(),
-		BatchDedup: e.dedupHits.Load(),
+		Hits:      e.rcHits.Load(),
+		Misses:    e.rcMisses.Load(),
+		Evictions: e.rcEvicts.Load(),
 	}
 	s.ClusterCache.Hits, s.ClusterCache.Misses, s.ClusterCache.Evictions = e.clusterCacheCounts()
 	s.Admission = AdmissionStats{

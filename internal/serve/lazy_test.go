@@ -169,6 +169,72 @@ func TestBoundedStalenessAnswers(t *testing.T) {
 	}
 }
 
+// TestBoundedStrictSameKeyOneChunk interleaves bounded and strict queries
+// for the same (kind, u, v) inside one chunk of one Do batch against a
+// deferred bicc slot, on keys whose answers differ between the old and the
+// new graph. Bounded answers before the first strict query come from the
+// stale instance (epoch 0); the strict query builds, and every later answer
+// is the new graph's (bounded ones tagged epoch 1). The result table keys on
+// the resolved oracle's built epoch, so no answer may leak across the two.
+func TestBoundedStrictSameKeyOneChunk(t *testing.T) {
+	g := graph.Disconnected(graph.Cycle(8), 2)
+	e := New(g, Config{Omega: 16, Seed: 5, Workers: 1})
+	defer e.Close()
+	if _, err := e.Update(Update{Add: [][2]int32{{0, 8}}}, true); err != nil {
+		t.Fatal(err)
+	}
+	if st := e.Stats(); st.OracleEpochs["bicc"] != 0 || st.Epoch != 1 {
+		t.Fatalf("epochs: bicc=%d published=%d, want 0/1", st.OracleEpochs["bicc"], st.Epoch)
+	}
+	oldRef := New(g, Config{Omega: 16, Seed: 9})
+	defer oldRef.Close()
+	newRef := New(e.Graph(), Config{Omega: 16, Seed: 9})
+	defer newRef.Close()
+
+	keys := []Query{{Kind: KindBridge, U: 0, V: 8}, {Kind: KindArticulation, U: 0}, {Kind: KindArticulation, U: 8}}
+	refs := [2][]Result{oldRef.Do(keys), newRef.Do(keys)}
+	for i, k := range keys {
+		if *refs[0][i].Bool == *refs[1][i].Bool {
+			t.Fatalf("%s(%d,%d) answers %v on both graphs; the test needs a changed answer", k.Kind, k.U, k.V, *refs[0][i].Bool)
+		}
+	}
+	var qs []Query
+	for _, mode := range []string{StalenessBounded, StalenessBounded, StalenessStrict, StalenessBounded, StalenessStrict, StalenessBounded} {
+		for _, k := range keys {
+			k.Staleness = mode
+			qs = append(qs, k)
+		}
+	}
+
+	got := e.Do(qs)
+	built := false
+	for i, q := range qs {
+		r := got[i]
+		if r.Err != "" {
+			t.Fatalf("query %d (%+v) errored: %s", i, q, r.Err)
+		}
+		strict := q.Staleness == StalenessStrict
+		built = built || strict
+		wantEpoch := int64(0)
+		if built && !strict {
+			wantEpoch = 1
+		}
+		if r.Epoch != wantEpoch {
+			t.Fatalf("query %d (%+v) tagged epoch %d, want %d", i, q, r.Epoch, wantEpoch)
+		}
+		ref := refs[0]
+		if built {
+			ref = refs[1]
+		}
+		if want := *ref[i%len(keys)].Bool; *r.Bool != want {
+			t.Fatalf("query %d (%+v) = %v, want %v (built=%v)", i, q, *r.Bool, want, built)
+		}
+	}
+	if st := e.Stats(); st.LazyRebuilds != 1 {
+		t.Fatalf("lazy builds = %d, want 1", st.LazyRebuilds)
+	}
+}
+
 // TestLazySingleFlight floods a deferred slot with concurrent strict
 // queries and asserts exactly one build ran: the slot mutex makes the first
 // query pay while the rest wait and reuse. Run under -race in CI.

@@ -25,9 +25,8 @@ import (
 
 // Cache layer label values of wec_cache_*_total.
 const (
-	cacheLayerResult     = "result"
-	cacheLayerCluster    = "cluster"
-	cacheLayerBatchDedup = "batch_dedup"
+	cacheLayerResult  = "result"
+	cacheLayerCluster = "cluster"
 )
 
 // engineMetrics is one engine's pre-resolved instrument handles. Built at
@@ -132,7 +131,7 @@ func newEngineMetrics(reg *obs.Registry, graphName string, e *Engine) *engineMet
 	}, graphName)
 
 	hits := reg.NewFuncVec("wec_cache_hits_total",
-		"Query-path cache hits by layer (result, cluster, batch_dedup).", obs.TypeCounter, "graph", "cache")
+		"Query-path cache hits by layer (result, cluster).", obs.TypeCounter, "graph", "cache")
 	misses := reg.NewFuncVec("wec_cache_misses_total",
 		"Query-path cache misses by layer.", obs.TypeCounter, "graph", "cache")
 	evicts := reg.NewFuncVec("wec_cache_evictions_total",
@@ -140,7 +139,6 @@ func newEngineMetrics(reg *obs.Registry, graphName string, e *Engine) *engineMet
 	hits.Set(func() float64 { return float64(e.rcHits.Load()) }, graphName, cacheLayerResult)
 	misses.Set(func() float64 { return float64(e.rcMisses.Load()) }, graphName, cacheLayerResult)
 	evicts.Set(func() float64 { return float64(e.rcEvicts.Load()) }, graphName, cacheLayerResult)
-	hits.Set(func() float64 { return float64(e.dedupHits.Load()) }, graphName, cacheLayerBatchDedup)
 	hits.Set(func() float64 { h, _, _ := e.clusterCacheCounts(); return float64(h) }, graphName, cacheLayerCluster)
 	misses.Set(func() float64 { _, ms, _ := e.clusterCacheCounts(); return float64(ms) }, graphName, cacheLayerCluster)
 	evicts.Set(func() float64 { _, _, ev := e.clusterCacheCounts(); return float64(ev) }, graphName, cacheLayerCluster)

@@ -110,7 +110,7 @@ func TestMetricsEndpointFamiliesAndHygiene(t *testing.T) {
 		"strategy": {StrategyPatchedInsert: true, StrategyPatchedDelete: true,
 			StrategyRebased: true, StrategyFull: true, StrategyLazy: true},
 		"oracle": {"conn": true, "bicc": true},
-		"cache":  {"result": true, "cluster": true, "batch_dedup": true},
+		"cache":  {"result": true, "cluster": true},
 	}
 	for _, s := range exp.Samples {
 		for k, v := range s.Labels {

@@ -16,7 +16,8 @@ import (
 )
 
 // memPersist is an in-memory GraphPersister that records every call in
-// order, optionally failing LogUpdate.
+// order, optionally failing LogUpdate. If published is non-nil (capacity
+// 1), every EpochPublished signals it; waitCommits blocks on it.
 type memPersist struct {
 	mu        sync.Mutex
 	updates   []int64 // seqs logged
@@ -28,6 +29,7 @@ type memPersist struct {
 	forests   []int // forest sizes seen by EpochPublished/SaveSnapshot
 	depths2   []int // chain depths seen by EpochPublished/SaveSnapshot
 	failLog   error
+	published chan struct{}
 }
 
 func (p *memPersist) LogUpdate(seq int64, add, remove [][2]int32) error {
@@ -46,10 +48,35 @@ func (p *memPersist) LogUpdate(seq int64, add, remove [][2]int32) error {
 func (p *memPersist) EpochPublished(epoch, seq int64, g *graph.Graph, dyn func() (map[int32]int32, [][2]int32, int)) {
 	_, forest, chainDepth := dyn()
 	p.mu.Lock()
-	defer p.mu.Unlock()
 	p.commits = append(p.commits, [2]int64{epoch, seq})
 	p.forests = append(p.forests, len(forest))
 	p.depths2 = append(p.depths2, chainDepth)
+	p.mu.Unlock()
+	select {
+	case p.published <- struct{}{}:
+	default: // a signal is already pending; waitCommits re-reads commits
+	}
+}
+
+// waitCommits blocks until at least n EpochPublished calls have been
+// recorded. Update(wait=true) returns once its batch is published; the
+// rebuilder commits it to the persister afterwards, outside the lock.
+func (p *memPersist) waitCommits(t *testing.T, n int) {
+	t.Helper()
+	deadline := time.After(10 * time.Second)
+	for {
+		p.mu.Lock()
+		c := len(p.commits)
+		p.mu.Unlock()
+		if c >= n {
+			return
+		}
+		select {
+		case <-p.published:
+		case <-deadline:
+			t.Fatalf("%d EpochPublished calls after 10s, want %d", c, n)
+		}
+	}
 }
 
 func (p *memPersist) SaveSnapshot(epoch, seq int64, g *graph.Graph, remap map[int32]int32, forest [][2]int32, chainDepth int) error {
@@ -86,7 +113,7 @@ func (p *memPersist) snap() memPersist {
 // InitialSeq.
 func TestEngineWALBeforeStage(t *testing.T) {
 	g := graph.RandomRegular(128, 3, 1)
-	p := &memPersist{}
+	p := &memPersist{published: make(chan struct{}, 1)}
 	var e *Engine
 	p.staged = func() int {
 		// Called inside LogUpdate, which the engine invokes while holding
@@ -112,6 +139,7 @@ func TestEngineWALBeforeStage(t *testing.T) {
 		t.Fatalf("update 2: %v", err)
 	}
 
+	p.waitCommits(t, 2)
 	got := p.snap()
 	if len(got.updates) != 2 || got.updates[0] != 41 || got.updates[1] != 42 {
 		t.Fatalf("logged seqs %v, want [41 42]", got.updates)

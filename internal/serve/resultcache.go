@@ -14,10 +14,13 @@ import (
 // tracker, so cached answers are telemetry-identical to recomputed ones
 // (the same replay argument as bicc's ClusterCache; see localS).
 //
-// Epoch keying makes invalidation free: every entry records the snapshot
-// epoch it was filled under, and a probe from a different epoch is a miss
-// whose fill simply overwrites the stale slot. Nothing is scanned or
-// cleared on a snapshot swap.
+// Epoch keying makes invalidation free: every entry records the built
+// epoch of the oracle that answered it, and a probe from a different epoch
+// is a miss whose fill simply overwrites the stale slot. Nothing is scanned
+// or cleared on a snapshot swap, and a bounded-staleness answer from a
+// deferred oracle never serves a strict query for the same key. This table
+// is the query path's only result memo: repeats inside one batch hit it
+// too.
 //
 // The table is direct-mapped on purpose: the warm path does one hash, one
 // striped lock, one slot compare — no allocation, no LRU bookkeeping. A
@@ -29,16 +32,6 @@ import (
 type rcKey struct {
 	agg  int32
 	u, v int32
-}
-
-// bsKey is the chunk-local batch-dedup key: an rcKey plus the built epoch
-// of the oracle state that answered it. The shared table keys epoch and
-// rcKey separately (rcEntry), but the per-worker batchSeen map needs the
-// pair in one comparable value because a single chunk can mix strict and
-// bounded-staleness answers for the same (kind, u, v).
-type bsKey struct {
-	k     rcKey
-	epoch int64
 }
 
 // rcVal is one memoized answer with the charges its fill recorded.

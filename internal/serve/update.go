@@ -147,7 +147,11 @@ type updateBatch struct {
 // Update validates and stages an edge-churn batch, waking the background
 // rebuilder. With wait=false it returns as soon as the batch is staged;
 // with wait=true it blocks until the batch is part of the published
-// snapshot (or the engine closes).
+// snapshot (or the engine closes). wait=true covers publication, not the
+// durable commit marker: the rebuilder calls Persist.EpochPublished after
+// it wakes the waiters, outside the engine lock, so that call may still be
+// running (or not yet started) when Update returns. The batch's update
+// record is durable either way (LogUpdate runs before staging).
 //
 // Validation is synchronous and atomic: vertex ids are bounds-checked and
 // every removal is checked against the effective edge multiset (published
