@@ -26,3 +26,59 @@ func BenchmarkBuild(b *testing.B) {
 	b.ReportMetric(float64(reads)/float64(b.N)/float64(g.N()), "reads/vertex")
 	b.ReportMetric(float64(writes)/float64(b.N), "writes/op")
 }
+
+// benchSink keeps the benchmarked calls' results live.
+var benchSink int
+
+// queryBenchDecomp is the decomposition the per-query microbenchmarks run
+// on: a uniform 3-regular graph of 65536 vertices at k = 8.
+func queryBenchDecomp(b *testing.B) *Decomposition {
+	b.Helper()
+	d, _, _ := build(graph.RandomRegular(65536, 3, 42), 8, 7, Options{})
+	return d
+}
+
+// BenchmarkRhoS times one ρ query on a warm scratch, the conn query
+// answer's inner search: the per-layer curve under serve's conn answer.
+// Vertices are visited in a fixed stride so successive queries land in
+// different clusters.
+func BenchmarkRhoS(b *testing.B) {
+	d := queryBenchDecomp(b)
+	n := d.g.N()
+	sc := NewScratch()
+	m := asym.NewMeter(64)
+	for v := 0; v < n; v += 97 {
+		d.RhoS(m, nil, sc, int32(v))
+	}
+	m = asym.NewMeter(64)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		benchSink += int(d.RhoS(m, nil, sc, int32(i*7919%n)))
+	}
+	b.ReportMetric(float64(m.Reads())/float64(b.N), "reads/op")
+}
+
+// BenchmarkNeighborCentersS times one clusters-graph neighbor listing on a
+// warm scratch, the search behind a bicc cluster-cache miss and the conn
+// and bicc builds: one cluster listing plus a ρ query per boundary edge.
+func BenchmarkNeighborCentersS(b *testing.B) {
+	d := queryBenchDecomp(b)
+	nc := d.NumCenters()
+	centers := make([]int32, nc)
+	for i := range centers {
+		centers[i] = d.Center(asym.NewMeter(64), i)
+	}
+	sc := NewScratch()
+	m := asym.NewMeter(64)
+	for i := 0; i < nc; i += 97 {
+		d.NeighborCentersS(m, nil, sc, centers[i])
+	}
+	m = asym.NewMeter(64)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		benchSink += len(d.NeighborCentersS(m, nil, sc, centers[i*7919%nc]))
+	}
+	b.ReportMetric(float64(m.Reads())/float64(b.N), "reads/op")
+}

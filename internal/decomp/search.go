@@ -27,7 +27,7 @@ import (
 // Reuse does not change charged costs: meters see exactly the reads/ops a
 // scratch-less search charges.
 type Scratch struct {
-	parent   map[int32]int32
+	parent   vertexTable
 	order    []int32
 	frontier []int32
 	next     []int32
@@ -35,26 +35,28 @@ type Scratch struct {
 
 	// Cluster/NeighborCenters workspaces (ClusterS, NeighborCentersS).
 	// Disjoint from the search fields above, so a cluster listing can call
-	// RhoS on the same scratch while its own buffers stay live. The maps
-	// are lazily created: connectivity workers share the Scratch type but
-	// never run cluster listings.
+	// RhoS on the same scratch while its own buffers stay live. Every
+	// vertex set is a generation-stamped vertexTable, emptied in O(1) per
+	// call however large an earlier call grew it, and allocated on first
+	// use: connectivity workers share the Scratch type but never run
+	// cluster listings.
 	cOut      []int32
 	cFrontier []int32
 	cNext     []int32
-	cSeen     map[int32]bool
+	cSeen     vertexTable
 	ncOut     []CenterEdge
-	ncSeen    map[int32]int
-	ncIn      map[int32]bool
+	ncSeen    vertexTable // neighbor center -> index into ncOut
+	ncIn      vertexTable
 }
 
 // NewScratch returns an empty reusable search workspace.
 func NewScratch() *Scratch {
-	return &Scratch{parent: make(map[int32]int32, 64)}
+	return &Scratch{}
 }
 
 // reset prepares the scratch for the next search, keeping capacity.
 func (sc *Scratch) reset() {
-	clear(sc.parent)
+	sc.parent.reset()
 	sc.order = sc.order[:0]
 	sc.frontier = sc.frontier[:0]
 	sc.next = sc.next[:0]
@@ -63,10 +65,10 @@ func (sc *Scratch) reset() {
 // searchState is the result of one search: the tie-broken shortest-path
 // tree and the visit order, borrowed from the scratch when one is supplied.
 type searchState struct {
-	parent  map[int32]int32 // tie-broken SP tree, parent[src] = src
-	order   []int32         // visit order
-	stopped bool            // visit returned true
-	hit     int32           // the vertex at which visit stopped
+	parent  *vertexTable // tie-broken SP tree, parent[src] = src
+	order   []int32      // visit order
+	stopped bool         // visit returned true
+	hit     int32        // the vertex at which visit stopped
 }
 
 // search is the deterministic priority BFS of §3. Starting from v, it calls
@@ -75,7 +77,7 @@ type searchState struct {
 // shortest-path tree. The search stops after visiting cap vertices (cap <= 0
 // means unbounded) or when the component is exhausted.
 //
-// With a non-nil scratch the parent map and traversal slices are reused
+// With a non-nil scratch the parent table and traversal slices are reused
 // buffers (the zero-alloc serving path) and adjacency lists are iterated
 // directly off the CSR span, with reads charged in bulk for exactly the
 // slots scanned — one meter update per vertex expansion (or a partial one
@@ -105,12 +107,12 @@ func (d *Decomposition) search(m *asym.Meter, sym *asym.SymTracker, sc *Scratch,
 	var frontier, next []int32
 	if sc != nil {
 		sc.reset()
-		st = searchState{parent: sc.parent, order: sc.order, hit: -1}
+		st = searchState{parent: &sc.parent, order: sc.order, hit: -1}
 		frontier, next = sc.frontier, sc.next
 	} else {
-		st = searchState{parent: make(map[int32]int32, 8), hit: -1} //wec:alloc cold path without a scratch; the zero-alloc gate runs warmed
+		st = searchState{parent: new(vertexTable), hit: -1} //wec:alloc cold path without a scratch; the zero-alloc gate runs warmed
 	}
-	st.parent[v] = v
+	st.parent.put(v, v)
 	frontier = append(frontier, v) //wec:alloc amortized scratch growth; steady state stays within capacity
 	st.order = append(st.order, v) //wec:alloc amortized scratch growth; steady state stays within capacity
 	release := func() {
@@ -165,10 +167,10 @@ func (d *Decomposition) search(m *asym.Meter, sym *asym.SymTracker, sc *Scratch,
 				} else {
 					u = vw.Neighbor(int(x), slot)
 				}
-				if _, seen := st.parent[u]; seen {
+				if _, seen := st.parent.get(u); seen {
 					continue
 				}
-				st.parent[u] = x
+				st.parent.put(u, x)
 				st.order = append(st.order, u) //wec:alloc amortized scratch growth; steady state stays within capacity
 				m.Op(1)
 				if visit(u) {
@@ -211,7 +213,7 @@ func (st *searchState) pathFrom(sc *Scratch, v, target int32) []int32 {
 	}
 	rev = append(rev, target) //wec:alloc amortized scratch growth; steady state stays within capacity
 	for x := target; x != v; {
-		x = st.parent[x]
+		x, _ = st.parent.get(x)
 		rev = append(rev, x) //wec:alloc amortized scratch growth; steady state stays within capacity
 	}
 	for i, j := 0, len(rev)-1; i < j; i, j = i+1, j-1 {
@@ -346,15 +348,12 @@ func (d *Decomposition) ClusterS(m *asym.Meter, sym *asym.SymTracker, sc *Scratc
 	if sc == nil {
 		sc = NewScratch() //wec:alloc cold path without a scratch; the zero-alloc gate runs warmed
 	}
-	if sc.cSeen == nil {
-		sc.cSeen = make(map[int32]bool, 64) //wec:alloc one-time lazy init; reused for the scratch's lifetime
-	}
 	out := sc.cOut[:0]
 	frontier := append(sc.cFrontier[:0], s) //wec:alloc amortized scratch growth; steady state stays within capacity
 	next := sc.cNext[:0]
-	clear(sc.cSeen)
-	seen := sc.cSeen
-	seen[s] = true
+	seen := &sc.cSeen
+	seen.reset()
+	seen.put(s, 0)
 	acquired := 0
 	if sym != nil {
 		sym.Acquire(1)
@@ -371,8 +370,8 @@ func (d *Decomposition) ClusterS(m *asym.Meter, sym *asym.SymTracker, sc *Scratc
 			deg := vw.Degree(int(x))
 			for i := 0; i < deg; i++ {
 				u := vw.Neighbor(int(x), i)
-				if !seen[u] {
-					seen[u] = true
+				if _, ok := seen.get(u); !ok {
+					seen.put(u, 0)
 					if sym != nil {
 						sym.Acquire(1)
 						acquired++
@@ -416,41 +415,35 @@ func (d *Decomposition) NeighborCentersS(m *asym.Meter, sym *asym.SymTracker, sc
 		sc = NewScratch() //wec:alloc cold path without a scratch; the zero-alloc gate runs warmed
 	}
 	members := d.ClusterS(m, sym, sc, s)
-	if sc.ncIn == nil {
-		sc.ncIn = make(map[int32]bool, 64) //wec:alloc one-time lazy init; reused for the scratch's lifetime
-	}
-	if sc.ncSeen == nil {
-		sc.ncSeen = make(map[int32]int, 16) //wec:alloc one-time lazy init; reused for the scratch's lifetime
-	}
-	clear(sc.ncIn)
-	inCluster := sc.ncIn
+	inCluster := &sc.ncIn
+	inCluster.reset()
 	for _, v := range members {
-		inCluster[v] = true
+		inCluster.put(v, 0)
 	}
 	if sym != nil {
 		sym.Acquire(len(members))
 		defer sym.Release(len(members))
 	}
 	out := sc.ncOut[:0]
-	clear(sc.ncSeen)
-	seen := sc.ncSeen // neighbor center -> index into out
+	seen := &sc.ncSeen // neighbor center -> index into out
+	seen.reset()
 	vw := graph.View{G: d.g, M: m}
 	for _, v := range members {
 		deg := vw.Degree(int(v))
 		for i := 0; i < deg; i++ {
 			u := vw.Neighbor(int(v), i)
-			if inCluster[u] {
+			if _, in := inCluster.get(u); in {
 				continue
 			}
 			t := d.RhoS(m, sym, sc, u)
 			if t == s {
 				continue
 			}
-			if j, ok := seen[t]; ok {
+			if j, ok := seen.get(t); ok {
 				out[j].Multiplicity++
 				continue
 			}
-			seen[t] = len(out)
+			seen.put(t, int32(len(out)))
 			out = append(out, CenterEdge{Other: t, From: v, To: u, Multiplicity: 1}) //wec:alloc amortized scratch growth; steady state stays within capacity
 		}
 	}

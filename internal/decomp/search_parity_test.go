@@ -1,6 +1,7 @@
 package decomp
 
 import (
+	"math"
 	"slices"
 	"testing"
 
@@ -14,7 +15,9 @@ import (
 // an adjacency span, so this exercises exactly the partial-span charging
 // that a bulk up-front charge would get wrong. The cluster and
 // neighbor-center listings and the center paths get the same check, with
-// the symmetric-memory high-water compared as well.
+// the symmetric-memory high-water compared as well. Each check runs on a
+// fresh scratch and on a grown one, whose tables are far larger than the
+// searches need and full of stale slots that must never read back.
 func TestScratchChargesMatchNilScratch(t *testing.T) {
 	graphs := []*graph.Graph{
 		graph.Cycle(64),
@@ -27,61 +30,115 @@ func TestScratchChargesMatchNilScratch(t *testing.T) {
 	for gi, g := range graphs {
 		for _, k := range []int{2, 8} {
 			d, _, _ := build(g, k, 7, Options{})
-			sc := NewScratch()
-			for v := 0; v < g.N(); v++ {
-				slow, fast := newProbe(), newProbe()
-				want := d.Rho(slow.m, slow.sym, int32(v))
-				got := d.RhoS(fast.m, fast.sym, sc, int32(v))
-				if got != want {
-					t.Fatalf("graph %d k=%d: RhoS(%d)=%d, Rho=%d", gi, k, v, got, want)
-				}
-				fast.check(t, slow, "Rho", gi, k, int32(v))
-			}
-			// Cluster listings, neighbor-center listings and center paths:
-			// a reused scratch must charge what a fresh one does and reach
-			// the same symmetric high-water, whatever earlier calls left in
-			// its buffers.
-			for ci := 0; ci < d.NumCenters(); ci++ {
-				s := d.Center(asym.NewMeter(1), ci)
-				fresh, reused := newProbe(), newProbe()
-				wantC := d.Cluster(fresh.m, fresh.sym, s)
-				gotC := d.ClusterS(reused.m, reused.sym, sc, s)
-				if !slices.Equal(gotC, wantC) {
-					t.Fatalf("graph %d k=%d: ClusterS(%d)=%v, Cluster=%v", gi, k, s, gotC, wantC)
-				}
-				reused.check(t, fresh, "Cluster", gi, k, s)
-				fresh, reused = newProbe(), newProbe()
-				wantN := d.NeighborCenters(fresh.m, fresh.sym, s)
-				gotN := d.NeighborCentersS(reused.m, reused.sym, sc, s)
-				if !slices.Equal(gotN, wantN) {
-					t.Fatalf("graph %d k=%d: NeighborCentersS(%d)=%v, NeighborCenters=%v", gi, k, s, gotN, wantN)
-				}
-				reused.check(t, fresh, "NeighborCenters", gi, k, s)
-			}
-			for v := 0; v < g.N(); v++ {
-				slow, fast := newProbe(), newProbe()
-				want := d.PathToCenter(slow.m, slow.sym, int32(v))
-				got := d.PathToCenterS(fast.m, fast.sym, sc, int32(v))
-				if !slices.Equal(got, want) {
-					t.Fatalf("graph %d k=%d: PathToCenterS(%d)=%v, PathToCenter=%v", gi, k, v, got, want)
-				}
-				fast.check(t, slow, "PathToCenter", gi, k, int32(v))
-			}
-			// Cap-limited searches stop mid-scan at arbitrary slots; both
-			// paths must charge the same partial-span reads there too.
-			for v := 0; v < g.N(); v += 7 {
-				for _, lim := range []int{1, 2, 5} {
-					slow := asym.NewMeter(asym.DefaultOmega)
-					fast := asym.NewMeter(asym.DefaultOmega)
-					d.search(slow, nil, nil, int32(v), lim, func(u int32) bool { return false })
-					d.search(fast, nil, sc, int32(v), lim, func(u int32) bool { return false })
-					if slow.Reads() != fast.Reads() || slow.Ops() != fast.Ops() {
-						t.Fatalf("graph %d k=%d v=%d cap=%d: scratch charges r=%d o=%d, nil-scratch r=%d o=%d",
-							gi, k, v, lim, fast.Reads(), fast.Ops(), slow.Reads(), slow.Ops())
-					}
-				}
+			for _, sc := range []*Scratch{NewScratch(), grownScratch()} {
+				checkScratchParity(t, d, g, sc, gi, k)
 			}
 		}
+	}
+}
+
+// grownScratch returns a scratch whose search ran to exhaustion on
+// Grid2D(12,12) (cap 0, a visit that never stops it), so its parent table
+// has grown to hold all 144 vertices.
+func grownScratch() *Scratch {
+	d, _, _ := build(graph.Grid2D(12, 12), 8, 7, Options{})
+	sc := NewScratch()
+	d.search(asym.NewMeter(1), nil, sc, 0, 0, func(int32) bool { return false })
+	return sc
+}
+
+// checkScratchParity checks every scratch-taking query on sc against its
+// per-call-state twin: same results, same charges, same symmetric
+// high-water.
+func checkScratchParity(t *testing.T, d *Decomposition, g *graph.Graph, sc *Scratch, gi, k int) {
+	t.Helper()
+	for v := 0; v < g.N(); v++ {
+		slow, fast := newProbe(), newProbe()
+		want := d.Rho(slow.m, slow.sym, int32(v))
+		got := d.RhoS(fast.m, fast.sym, sc, int32(v))
+		if got != want {
+			t.Fatalf("graph %d k=%d: RhoS(%d)=%d, Rho=%d", gi, k, v, got, want)
+		}
+		fast.check(t, slow, "Rho", gi, k, int32(v))
+	}
+	// Cluster listings, neighbor-center listings and center paths:
+	// a reused scratch must charge what a fresh one does and reach
+	// the same symmetric high-water, whatever earlier calls left in
+	// its buffers.
+	for ci := 0; ci < d.NumCenters(); ci++ {
+		s := d.Center(asym.NewMeter(1), ci)
+		fresh, reused := newProbe(), newProbe()
+		wantC := d.Cluster(fresh.m, fresh.sym, s)
+		gotC := d.ClusterS(reused.m, reused.sym, sc, s)
+		if !slices.Equal(gotC, wantC) {
+			t.Fatalf("graph %d k=%d: ClusterS(%d)=%v, Cluster=%v", gi, k, s, gotC, wantC)
+		}
+		reused.check(t, fresh, "Cluster", gi, k, s)
+		fresh, reused = newProbe(), newProbe()
+		wantN := d.NeighborCenters(fresh.m, fresh.sym, s)
+		gotN := d.NeighborCentersS(reused.m, reused.sym, sc, s)
+		if !slices.Equal(gotN, wantN) {
+			t.Fatalf("graph %d k=%d: NeighborCentersS(%d)=%v, NeighborCenters=%v", gi, k, s, gotN, wantN)
+		}
+		reused.check(t, fresh, "NeighborCenters", gi, k, s)
+	}
+	for v := 0; v < g.N(); v++ {
+		slow, fast := newProbe(), newProbe()
+		want := d.PathToCenter(slow.m, slow.sym, int32(v))
+		got := d.PathToCenterS(fast.m, fast.sym, sc, int32(v))
+		if !slices.Equal(got, want) {
+			t.Fatalf("graph %d k=%d: PathToCenterS(%d)=%v, PathToCenter=%v", gi, k, v, got, want)
+		}
+		fast.check(t, slow, "PathToCenter", gi, k, int32(v))
+	}
+	// Cap-limited searches stop mid-scan at arbitrary slots; both
+	// paths must charge the same partial-span reads there too.
+	for v := 0; v < g.N(); v += 7 {
+		for _, lim := range []int{1, 2, 5} {
+			slow := asym.NewMeter(asym.DefaultOmega)
+			fast := asym.NewMeter(asym.DefaultOmega)
+			d.search(slow, nil, nil, int32(v), lim, func(u int32) bool { return false })
+			d.search(fast, nil, sc, int32(v), lim, func(u int32) bool { return false })
+			if slow.Reads() != fast.Reads() || slow.Ops() != fast.Ops() {
+				t.Fatalf("graph %d k=%d v=%d cap=%d: scratch charges r=%d o=%d, nil-scratch r=%d o=%d",
+					gi, k, v, lim, fast.Reads(), fast.Ops(), slow.Reads(), slow.Ops())
+			}
+		}
+	}
+}
+
+// TestWarmScratchZeroAlloc pins the zero-alloc half of the scratch
+// contract: on a warm scratch RhoS, ClusterS, NeighborCentersS and
+// PathToCenterS allocate nothing, also on the call right after the
+// generation counters of every table wrap.
+func TestWarmScratchZeroAlloc(t *testing.T) {
+	g := graph.Grid2D(12, 12)
+	d, _, _ := build(g, 8, 7, Options{})
+	p := newProbe()
+	sc := grownScratch()
+	queries := func() {
+		for v := int32(0); int(v) < g.N(); v += 11 {
+			s := d.RhoS(p.m, p.sym, sc, v)
+			d.ClusterS(p.m, p.sym, sc, s)
+			d.NeighborCentersS(p.m, p.sym, sc, s)
+			d.PathToCenterS(p.m, p.sym, sc, v)
+		}
+	}
+	queries() // warm every buffer to its high-water
+	if a := testing.AllocsPerRun(20, queries); a != 0 {
+		t.Fatalf("warm scratch: %v allocs per run, want 0", a)
+	}
+	wrapped := func() {
+		for _, tab := range [...]*vertexTable{&sc.parent, &sc.cSeen, &sc.ncIn, &sc.ncSeen} {
+			tab.gen = math.MaxUint32 // the next reset wraps
+		}
+		queries()
+	}
+	if a := testing.AllocsPerRun(20, wrapped); a != 0 {
+		t.Fatalf("warm scratch after a generation wrap: %v allocs per run, want 0", a)
+	}
+	if sc.parent.gen == math.MaxUint32 || sc.parent.gen == 0 {
+		t.Fatalf("parent table generation %d after the wrap", sc.parent.gen)
 	}
 }
 

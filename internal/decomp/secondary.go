@@ -1,6 +1,8 @@
 package decomp
 
 import (
+	"slices"
+
 	"repro/internal/asym"
 	"repro/internal/graph"
 	"repro/internal/parallel"
@@ -14,12 +16,16 @@ import (
 
 // clusterTree is the rooted tree formed, per Lemma 3.3, by the tie-broken
 // shortest paths from cluster members to their center. members is the
-// prefix found by a size-limited search, in level order; parent gives each
-// member's SP predecessor toward the root (parent[root] = root).
+// prefix found by a size-limited search, in level order, so members[0] is
+// the root; parent[i] is the position in members of members[i]'s SP
+// predecessor toward the root (parent[0] = 0). With the paper's stable
+// tie-break a predecessor is always an earlier member, so any prefix of
+// members is a tree too. The UnstableTieBreak ablation breaks that: a
+// predecessor may be a later member, or no member at all (-1), and the
+// subtree sweep then drops that link.
 type clusterTree struct {
-	root      int32
 	members   []int32
-	parent    map[int32]int32
+	parent    []int32
 	exhausted bool // the whole cluster was found (fewer than limit members)
 }
 
@@ -28,65 +34,92 @@ type clusterTree struct {
 // a ρ query (O(k) expected reads), so the search costs O(k·limit) expected
 // operations and no writes — the "Search from v for the first k vertices
 // that have v as their center" step of Algorithm 1. The ρ queries run on
-// the build's reusable scratch sc.
+// the build's reusable scratch sc, and the seen set borrows sc's
+// cluster-listing table (a build never lists a cluster mid-search). It maps
+// each seen vertex to its position in members, or -1 for a non-member.
 func (d *Decomposition) clusterSearch(m *asym.Meter, sym *asym.SymTracker, sc *Scratch, s int32, limit int) clusterTree {
-	ct := clusterTree{root: s, parent: map[int32]int32{s: s}}
-	seen := map[int32]bool{s: true}
-	frontier := []int32{s}
-	ct.members = append(ct.members, s)
+	ct := clusterTree{members: make([]int32, 1, limit), parent: make([]int32, 1, limit)}
+	ct.members[0] = s
+	seen := &sc.cSeen
+	seen.reset()
+	seen.put(s, 0)
 	if sym != nil {
 		words := 3
 		sym.Acquire(words)
 		defer func() { sym.Release(words) }()
 	}
 	if limit <= 1 {
-		ct.exhausted = false
 		return ct
 	}
+	// ct.parent holds predecessor vertices until the search ends, since
+	// under the ablation a predecessor may join members after its child.
 	vw := graph.View{G: d.g, M: m}
+	frontier := []int32{s}
+	ct.exhausted = true
+search:
 	for len(frontier) > 0 {
 		var next []int32
 		for _, x := range frontier {
 			deg := vw.Degree(int(x))
 			for i := 0; i < deg; i++ {
 				u := vw.Neighbor(int(x), i)
-				if seen[u] {
+				if _, ok := seen.get(u); ok {
 					continue
 				}
-				seen[u] = true
 				c, path := d.rhoPath(m, sym, sc, u)
 				if c != s {
+					seen.put(u, -1)
 					continue
 				}
 				// path = u .. s; the SP predecessor of u toward s is
 				// path[1], already a member (it lies one BFS level closer).
-				ct.parent[u] = path[1]
+				seen.put(u, int32(len(ct.members)))
 				ct.members = append(ct.members, u)
+				ct.parent = append(ct.parent, path[1])
 				next = append(next, u)
 				if len(ct.members) >= limit {
-					return ct
+					ct.exhausted = false
+					break search
 				}
 			}
 		}
 		frontier = next
 	}
-	ct.exhausted = true
+	for i := 1; i < len(ct.parent); i++ {
+		pos, ok := seen.get(ct.parent[i])
+		if !ok {
+			pos = -1
+		}
+		ct.parent[i] = pos
+	}
 	return ct
 }
 
-// subtreeSizes computes the size of each member's subtree. members is in
-// level (BFS) order, so a reverse sweep accumulates child sizes before
-// parents.
-func (ct *clusterTree) subtreeSizes() map[int32]int {
-	size := make(map[int32]int, len(ct.members))
-	for _, v := range ct.members {
-		size[v] = 1
+// subtreeSizes computes the size of each member's subtree, by position in
+// members. members is in level (BFS) order, so a reverse sweep accumulates
+// child sizes before parents.
+func (ct *clusterTree) subtreeSizes() []int {
+	size := make([]int, len(ct.members))
+	for i := range size {
+		size[i] = 1
 	}
-	for i := len(ct.members) - 1; i >= 1; i-- {
-		v := ct.members[i]
-		size[ct.parent[v]] += size[v]
+	for i := len(size) - 1; i >= 1; i-- {
+		if p := ct.parent[i]; p >= 0 {
+			size[p] += size[i]
+		}
 	}
 	return size
+}
+
+// truncate keeps the first n members. A link to a dropped member (only
+// possible under the UnstableTieBreak ablation) becomes -1.
+func (ct *clusterTree) truncate(n int) {
+	ct.members, ct.parent = ct.members[:n], ct.parent[:n]
+	for i, p := range ct.parent {
+		if int(p) >= n {
+			ct.parent[i] = -1
+		}
+	}
 }
 
 // splitter picks the non-root member u maximizing min(|subtree(u)|,
@@ -97,8 +130,8 @@ func (ct *clusterTree) splitter() int32 {
 	size := ct.subtreeSizes()
 	total := len(ct.members)
 	best, bestScore := int32(-1), -1
-	for _, v := range ct.members[1:] {
-		s := size[v]
+	for i, v := range ct.members[1:] {
+		s := size[i+1]
 		score := s
 		if total-s < score {
 			score = total - s
@@ -113,8 +146,8 @@ func (ct *clusterTree) splitter() int32 {
 // children returns the root's children in the cluster tree.
 func (ct *clusterTree) rootChildren() []int32 {
 	var out []int32
-	for _, v := range ct.members[1:] {
-		if ct.parent[v] == ct.root {
+	for i, v := range ct.members[1:] {
+		if ct.parent[i+1] == 0 {
 			out = append(out, v)
 		}
 	}
@@ -149,7 +182,7 @@ func (d *Decomposition) secondaryCenters(c *parallel.Ctx, vw graph.View, sc *Scr
 	}
 	// The search found k+1 members, so the cluster is oversized. Work on
 	// the first k (the tree the paper's line 7 defines).
-	ct.members = ct.members[:d.k]
+	ct.truncate(d.k)
 	u := ct.splitter()
 	if u < 0 { // k == 1: every non-root member becomes its own center
 		for _, w := range ct.members[1:] {
@@ -166,12 +199,10 @@ func (d *Decomposition) secondaryCenters(c *parallel.Ctx, vw graph.View, sc *Scr
 		// recursion continues into each child and into the splitter; v's
 		// own cluster is now just {v}.
 		targets := ct.rootChildren()
-		marked := map[int32]bool{}
 		for _, ch := range targets {
 			d.markSecondary(ch)
-			marked[ch] = true
 		}
-		if !marked[u] {
+		if !slices.Contains(targets, u) {
 			d.markSecondary(u)
 			targets = append(targets, u)
 		}
