@@ -227,8 +227,8 @@ func main() {
 					"graph", name, "build_ms", st.BuildMs,
 					"n", es.GraphN, "m", es.GraphM, "k", es.K,
 					"components", es.NumComponents, "bccs", es.NumBCC,
-					"build_cost_conn", fmt.Sprint(es.BuildConn),
-					"build_cost_bicc", fmt.Sprint(es.BuildBicc))
+					"build_cost_conn", fmt.Sprint(es.BuildCosts["conn"]),
+					"build_cost_bicc", fmt.Sprint(es.BuildCosts["bicc"]))
 			}
 		},
 	})
@@ -397,7 +397,7 @@ func logRebuild(logger *slog.Logger, name string, r serve.RebuildRecord) {
 		"batches", r.Batches, "added_edges", r.AddedEdges, "removed_edges", r.RemovedEdges,
 		"duration_ms", float64(r.Duration.Nanoseconds())/1e6,
 		"oracle_strategies", r.Strategies, "deferred_oracles", deferred,
-		"writes_graph", r.GraphCost.Writes, "writes_conn", r.ConnCost.Writes, "writes_bicc", r.BiccCost.Writes)
+		"writes_graph", r.GraphCost.Writes, "writes_conn", r.OracleCosts["conn"].Writes, "writes_bicc", r.OracleCosts["bicc"].Writes)
 }
 
 // validateFlags rejects parameter combinations that would otherwise

@@ -293,13 +293,14 @@ func churnBench(scale int) {
 			len(st.Rebuilds), wantRecords)
 		failed.Store(true)
 	}
-	fullConnWrites := fresh.Stats().BuildConn.Writes
+	fullConnWrites := fresh.Stats().BuildCosts["conn"].Writes
 	fmt.Printf("\n%6s %-14s %8s %8s | %12s %12s %12s | %9s\n",
 		"epoch", "conn strategy", "+edges", "-edges", "graph wr", "conn wr", "bicc wr", "ms")
 	for _, r := range st.Rebuilds {
 		fmt.Printf("%6d %-14s %8d %8d | %12d %12d %12d | %9.1f\n",
 			r.Epoch, r.Strategies["conn"], r.AddedEdges, r.RemovedEdges,
-			r.GraphCost.Writes, r.ConnCost.Writes, r.BiccCost.Writes, r.DurationMs)
+			r.GraphCost.Writes, r.OracleCosts["conn"].Writes, r.OracleCosts["bicc"].Writes,
+			float64(r.Duration.Microseconds())/1000)
 		if int(r.Epoch) >= 1 && int(r.Epoch) <= len(expect) {
 			if want := expect[r.Epoch-1]; r.Strategies["conn"] != want {
 				fmt.Fprintf(os.Stderr, "churn: FAILED — epoch %d conn strategy %q, want %q\n",
@@ -308,9 +309,9 @@ func churnBench(scale int) {
 			}
 		}
 		patched := r.Strategies["conn"] == serve.StrategyPatchedInsert || r.Strategies["conn"] == serve.StrategyPatchedDelete
-		if patched && r.ConnCost.Writes >= fullConnWrites {
+		if connWrites := r.OracleCosts["conn"].Writes; patched && connWrites >= fullConnWrites {
 			fmt.Fprintf(os.Stderr, "churn: FAILED — patched epoch %d conn writes %d not below full build %d\n",
-				r.Epoch, r.ConnCost.Writes, fullConnWrites)
+				r.Epoch, connWrites, fullConnWrites)
 			failed.Store(true)
 		}
 	}

@@ -150,7 +150,7 @@ func multitenantBench(scale int) {
 	fmt.Printf("%d graphs ready behind %s (shared pool: %d workers)\n",
 		*mtGraphs, base, reg.Pool().Size())
 
-	statsBefore := make([]serve.StatsJSON, *mtGraphs)
+	statsBefore := make([]serve.Stats, *mtGraphs)
 	for i, s := range specs {
 		if statsBefore[i], err = fetchStats(base + "/graphs/" + s.name); err != nil {
 			fail("%s /stats: %v", s.name, err)
@@ -304,7 +304,7 @@ func multitenantBench(scale int) {
 		}
 		delta := st.TotalQueries - statsBefore[i].TotalQueries
 		fmt.Printf("  %-4s n=%-6d m=%-6d epoch=%-2d queries=%-7d queue-wait=%.1fms\n",
-			s.name, st.GraphN, st.GraphM, st.Epoch, delta, st.Admission.QueueWaitMs)
+			s.name, st.GraphN, st.GraphM, st.Epoch, delta, float64(st.Admission.QueueWait.Microseconds())/1000)
 	}
 
 	// Admission control: a capped tenant rejects the second concurrent

@@ -158,7 +158,7 @@ func serveBench(scale int) {
 			k, count,
 			float64(a.Cost.Reads-b.Cost.Reads)/float64(count),
 			float64(a.Cost.Writes-b.Cost.Writes)/float64(count),
-			float64(a.Cost.Work-b.Cost.Work)/float64(count),
+			float64(a.Cost.Work()-b.Cost.Work())/float64(count),
 			a.Errors-b.Errors)
 	}
 }
@@ -184,8 +184,8 @@ func fetchInfo(base string) (serve.Info, error) {
 	return info, err
 }
 
-func fetchStats(base string) (serve.StatsJSON, error) {
-	var st serve.StatsJSON
+func fetchStats(base string) (serve.Stats, error) {
+	var st serve.Stats
 	err := getDecode(base+"/stats", &st)
 	return st, err
 }

@@ -40,8 +40,8 @@ func main() {
 	st := eng.Stats()
 	fmt.Printf("engine up: n=%d m=%d ω=%d k=%d, %d components, %d BCCs\n",
 		st.GraphN, st.GraphM, st.Omega, st.K, st.NumComponents, st.NumBCC)
-	fmt.Printf("  conn build: %v\n", st.BuildConn)
-	fmt.Printf("  bicc build: %v\n", st.BuildBicc)
+	fmt.Printf("  conn build: %v\n", st.BuildCosts["conn"])
+	fmt.Printf("  bicc build: %v\n", st.BuildCosts["bicc"])
 
 	// Single queries: the joining edge is a bridge, its endpoints are cut
 	// vertices, and the two sides are connected but not biconnected.

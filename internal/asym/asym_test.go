@@ -1,6 +1,7 @@
 package asym
 
 import (
+	"encoding/json"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -129,6 +130,26 @@ func TestCostString(t *testing.T) {
 	c := Cost{Omega: 2, Reads: 1, Writes: 1, Ops: 1}
 	if c.String() == "" {
 		t.Fatal("empty String")
+	}
+}
+
+// TestCostMarshalRoundTrip pins the wire shape of a Cost (the leaf of every
+// /stats and /info cost object) and that decoding restores the counters.
+func TestCostMarshalRoundTrip(t *testing.T) {
+	c := Cost{Omega: 8, Reads: 3, Writes: 2, Ops: 5}
+	b, err := json.Marshal(c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := `{"omega":8,"reads":3,"writes":2,"ops":5,"work":24}`; string(b) != want {
+		t.Fatalf("Marshal = %s, want %s", b, want)
+	}
+	var back Cost
+	if err := json.Unmarshal(b, &back); err != nil {
+		t.Fatal(err)
+	}
+	if back != c {
+		t.Fatalf("round trip = %+v, want %+v", back, c)
 	}
 }
 

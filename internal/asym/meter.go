@@ -20,6 +20,7 @@
 package asym
 
 import (
+	"encoding/json"
 	"fmt"
 	"sync/atomic"
 )
@@ -134,6 +135,20 @@ func (c Cost) Add(other Cost) Cost {
 		Writes: c.Writes + other.Writes,
 		Ops:    c.Ops + other.Ops,
 	}
+}
+
+// MarshalJSON encodes the snapshot as {"omega","reads","writes","ops","work"}
+// with work = Work(), the derived quantity encoding/json cannot see through
+// the method. Decoding needs no counterpart: the field names match the
+// struct's case-insensitively and "work" is ignored.
+func (c Cost) MarshalJSON() ([]byte, error) {
+	return json.Marshal(struct {
+		Omega  int   `json:"omega"`
+		Reads  int64 `json:"reads"`
+		Writes int64 `json:"writes"`
+		Ops    int64 `json:"ops"`
+		Work   int64 `json:"work"`
+	}{c.Omega, c.Reads, c.Writes, c.Ops, c.Work()})
 }
 
 // String formats the cost in the shape used by EXPERIMENTS.md tables.

@@ -220,18 +220,11 @@ type KindStats struct {
 	Cost   asym.Cost `json:"cost"`
 }
 
-// ResultCacheStats is the epoch-keyed hot-pair result cache telemetry
-// (resultcache.go).
-type ResultCacheStats struct {
-	Hits      int64 `json:"hits"`
-	Misses    int64 `json:"misses"`
-	Evictions int64 `json:"evictions"`
-}
-
-// CacheStats is the oracle-side derived-structure cache telemetry (the
-// bicc cluster local-graph cache), cumulative across snapshot swaps:
-// retired snapshots' counters are folded into the engine at publish time
-// and the live snapshot's are added on read.
+// CacheStats is the telemetry of one query-path cache layer: the
+// engine's epoch-keyed result table (resultcache.go) or the bicc oracle's
+// cluster local-graph cache. The cluster counters are cumulative across
+// snapshot swaps: retired snapshots' counters are folded into the engine
+// at publish time and the live snapshot's are added on read.
 type CacheStats struct {
 	Hits      int64 `json:"hits"`
 	Misses    int64 `json:"misses"`
@@ -252,9 +245,19 @@ type AdmissionStats struct {
 	QueueWait time.Duration `json:"queue_wait_ns"`
 }
 
-// Stats is the engine-wide snapshot served at /stats. Graph shape, build
-// costs and component counts describe the current snapshot; query, rebuild,
-// admission and pool telemetry is cumulative.
+// Stats is the engine-wide snapshot, and its JSON encoding is the /stats
+// document. Graph shape, build costs and component counts describe the
+// current snapshot; query, rebuild, admission and pool telemetry is
+// cumulative. Every cost object carries its derived work (asym.Cost's
+// MarshalJSON).
+//
+// Duration units: every duration field in the document — the admission
+// and pool queue_wait_ns, and rebuild duration_ns — is an integer count of
+// NANOSECONDS (a time.Duration), flagged by the _ns suffix. The same
+// quantities exported as histograms on GET /metrics
+// (wec_pool_queue_wait_seconds, wec_rebuild_duration_seconds) are in
+// SECONDS, per Prometheus base-unit convention. docs/observability.md
+// carries the field-by-field mapping.
 type Stats struct {
 	GraphN        int `json:"graph_n"`
 	GraphM        int `json:"graph_m"`
@@ -263,11 +266,8 @@ type Stats struct {
 	Workers       int `json:"workers"`
 	NumComponents int `json:"num_components"`
 	NumBCC        int `json:"num_bcc"`
-	// BuildConn/BuildBicc are the built-in factories' construction costs
-	// (kept for single-graph clients); BuildCosts has every registered
-	// factory's, keyed by factory name.
-	BuildConn    asym.Cost            `json:"build_conn"`
-	BuildBicc    asym.Cost            `json:"build_bicc"`
+	// BuildCosts has every registered factory's construction cost, keyed
+	// by factory name ("conn", "bicc", plugged-in oracles).
 	BuildCosts   map[string]asym.Cost `json:"build_costs"`
 	Queries      map[string]KindStats `json:"queries"`
 	TotalQueries int64                `json:"total_queries"` // sum of Queries[*].Count
@@ -275,8 +275,8 @@ type Stats struct {
 	// Query-path cache telemetry: the engine's result memoization and the
 	// bicc oracle's cluster local-graph cache. Both replay fill-time
 	// charges on hits, so Queries' costs above are unaffected by either.
-	ResultCache  ResultCacheStats `json:"result_cache"`
-	ClusterCache CacheStats       `json:"cluster_cache"`
+	ResultCache  CacheStats `json:"result_cache"`
+	ClusterCache CacheStats `json:"cluster_cache"`
 
 	// Admission control (this graph) and the worker pool (shared across
 	// graphs when the engine belongs to a Registry).
@@ -450,7 +450,6 @@ type Engine struct {
 	factories []oracle.Factory
 	specs     []oracle.Spec
 	byKind    map[oracle.Kind]kindRef
-	facByName map[string]int
 
 	// Worker pool + admission control.
 	pool        *Pool
@@ -504,12 +503,11 @@ type Engine struct {
 	edgesAdded   int64
 	edgesRemoved int64
 
-	// Deferred-rebuild counters (lazy.go): publishes that skipped a
-	// Deferrable oracle's rebuild, and the on-demand builds queries later
-	// forced. Atomics because lazy builds happen on query goroutines,
-	// outside mu.
+	// rebuildsAvoided counts publishes that skipped a Deferrable oracle's
+	// rebuild (lazy.go). An atomic because it is read outside mu. The
+	// on-demand builds queries later force are counted once, by the lazy
+	// bucket of the rebuild-duration histogram (metrics.go).
 	rebuildsAvoided atomic.Int64
-	lazyBuilds      atomic.Int64
 
 	// met holds the engine's pre-resolved metric handles (metrics.go).
 	// Assigned once in New after the first snapshot publishes, so the
@@ -572,14 +570,12 @@ func New(g *graph.Graph, cfg Config) *Engine {
 		rcache:      newResultCache(),
 		disp:        asym.NewMeter(omega),
 		byKind:      map[oracle.Kind]kindRef{},
-		facByName:   map[string]int{},
 		delta:       map[[2]int32]int{},
 		stratCounts: map[string]map[string]int64{},
 	}
 	e.cond = sync.NewCond(&e.mu)
 	e.factories = oracle.Factories()
 	for fi, f := range e.factories {
-		e.facByName[f.Name] = fi
 		for _, s := range f.Specs {
 			e.byKind[s.Kind] = kindRef{agg: len(e.specs), fac: fi}
 			e.specs = append(e.specs, s)
@@ -676,20 +672,10 @@ func (e *Engine) buildOracles(g *graph.Graph, skip []bool) ([]oracle.QueryOracle
 	return os, costs
 }
 
-// costByName returns the snapshot build cost of the named factory (zero if
-// that factory is not registered). For a deferred slot this is the cost of
-// whatever build produced the effective oracle — the carried one while
-// stale, the lazy build's once it has run, zero while never built.
-func (e *Engine) costByName(s *snapshot, name string) asym.Cost {
-	if fi, ok := e.facByName[name]; ok {
-		return s.costAt(fi)
-	}
-	return asym.Cost{Omega: e.omega}
-}
-
 // buildCosts returns every factory's snapshot build cost keyed by factory
-// name — the generalization of BuildConn/BuildBicc that covers plugged-in
-// oracles too.
+// name. For a deferred slot this is the cost of whatever build produced the
+// effective oracle — the carried one while stale, the lazy build's once it
+// has run, zero while never built.
 func (e *Engine) buildCosts(s *snapshot) map[string]asym.Cost {
 	out := make(map[string]asym.Cost, len(e.factories))
 	for fi, f := range e.factories {
@@ -1152,8 +1138,6 @@ func (e *Engine) Stats() Stats {
 		Omega:      e.omega,
 		K:          e.k,
 		Workers:    e.workers,
-		BuildConn:  e.costByName(sn, "conn"),
-		BuildBicc:  e.costByName(sn, "bicc"),
 		BuildCosts: e.buildCosts(sn),
 		Queries:    make(map[string]KindStats, len(e.specs)),
 		Epoch:      sn.epoch,
@@ -1176,7 +1160,7 @@ func (e *Engine) Stats() Stats {
 	s.Rebuilds = append([]RebuildRecord(nil), e.history...)
 	e.mu.Unlock()
 	s.RebuildsAvoided = e.rebuildsAvoided.Load()
-	s.LazyRebuilds = e.lazyBuilds.Load()
+	s.LazyRebuilds = e.met.rebuildDur[StrategyLazy].Count()
 	s.OracleEpochs = e.oracleEpochs(sn)
 	s.NumComponents, s.NumBCC = sn.counts()
 	s.ConnChainDepth = connChainDepthOf(sn)
@@ -1189,7 +1173,7 @@ func (e *Engine) Stats() Stats {
 		s.Queries[string(spec.Kind)] = ks
 		s.TotalQueries += ks.Count
 	}
-	s.ResultCache = ResultCacheStats{
+	s.ResultCache = CacheStats{
 		Hits:      e.rcHits.Load(),
 		Misses:    e.rcMisses.Load(),
 		Evictions: e.rcEvicts.Load(),

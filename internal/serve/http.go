@@ -130,138 +130,28 @@ type GraphListResponse struct {
 }
 
 // Info is the /info response body: the engine's configuration plus the
-// current snapshot's shape and build costs (stable within an epoch), and
-// the binary's build identity so scraped metrics can be correlated with the
-// exact build.
+// current snapshot's shape and build costs, and the binary's build identity
+// so scraped metrics can be correlated with the exact build. The shape and
+// epoch are fixed within an epoch; a lazy build inside one (the first
+// bicc-family query after a deferred rebuild) changes num_bcc, build_costs
+// and oracle_epochs without a new epoch.
 type Info struct {
-	GraphN        int      `json:"graph_n"`
-	GraphM        int      `json:"graph_m"`
-	Omega         int      `json:"omega"`
-	K             int      `json:"k"`
-	Workers       int      `json:"workers"`
-	NumComponents int      `json:"num_components"`
-	NumBCC        int      `json:"num_bcc"`
-	Epoch         int64    `json:"epoch"`
-	Kinds         []Kind   `json:"kinds"`
-	BuildConn     CostJSON `json:"build_conn"`
-	BuildBicc     CostJSON `json:"build_bicc"`
+	GraphN        int    `json:"graph_n"`
+	GraphM        int    `json:"graph_m"`
+	Omega         int    `json:"omega"`
+	K             int    `json:"k"`
+	Workers       int    `json:"workers"`
+	NumComponents int    `json:"num_components"`
+	NumBCC        int    `json:"num_bcc"`
+	Epoch         int64  `json:"epoch"`
+	Kinds         []Kind `json:"kinds"`
 	// OracleEpochs maps each oracle to the epoch its built state corresponds
 	// to: Epoch when fresh, lagging while its rebuild is deferred, -1 when
 	// it has never been built (a recovered graph before the first
 	// biconnectivity query, for example).
-	OracleEpochs map[string]int64    `json:"oracle_epochs,omitempty"`
-	BuildCosts   map[string]CostJSON `json:"build_costs"`
-	Build        obs.BuildInfo       `json:"build"`
-}
-
-// CostJSON is an asym.Cost with the derived work made explicit for JSON
-// consumers (asym.Cost computes Work() as a method, which encoding/json
-// cannot see).
-type CostJSON struct {
-	Omega  int   `json:"omega"`
-	Reads  int64 `json:"reads"`
-	Writes int64 `json:"writes"`
-	Ops    int64 `json:"ops"`
-	Work   int64 `json:"work"`
-}
-
-// AdmissionJSON mirrors AdmissionStats with the queue wait in
-// milliseconds.
-type AdmissionJSON struct {
-	MaxInflight int     `json:"max_inflight"`
-	Inflight    int64   `json:"inflight"`
-	Rejected    int64   `json:"rejected"`
-	QueueWaitMs float64 `json:"queue_wait_ms"`
-}
-
-// PoolJSON mirrors PoolStats with the queue wait in milliseconds.
-type PoolJSON struct {
-	Size        int     `json:"size"`
-	InUse       int64   `json:"in_use"`
-	PeakInUse   int64   `json:"peak_in_use"`
-	Tasks       int64   `json:"tasks"`
-	QueueWaitMs float64 `json:"queue_wait_ms"`
-}
-
-// StatsJSON mirrors Stats with CostJSON leaves.
-//
-// Duration units: every duration field in the /stats document — the
-// admission and pool queue_wait_ms, and rebuild duration_ms — is in
-// MILLISECONDS, flagged by the _ms suffix. The same quantities exported
-// as histograms on GET /metrics (wec_pool_queue_wait_seconds,
-// wec_rebuild_duration_seconds) are in SECONDS, per Prometheus base-unit
-// convention. docs/observability.md carries the field-by-field mapping.
-type StatsJSON struct {
-	GraphN        int                      `json:"graph_n"`
-	GraphM        int                      `json:"graph_m"`
-	Omega         int                      `json:"omega"`
-	K             int                      `json:"k"`
-	Workers       int                      `json:"workers"`
-	NumComponents int                      `json:"num_components"`
-	NumBCC        int                      `json:"num_bcc"`
-	BuildConn     CostJSON                 `json:"build_conn"`
-	BuildBicc     CostJSON                 `json:"build_bicc"`
-	BuildCosts    map[string]CostJSON      `json:"build_costs"`
-	Queries       map[string]KindStatsJSON `json:"queries"`
-	TotalQueries  int64                    `json:"total_queries"`
-
-	Admission AdmissionJSON `json:"admission"`
-	Pool      PoolJSON      `json:"pool"`
-
-	ResultCache  ResultCacheStats `json:"result_cache"`
-	ClusterCache CacheStats       `json:"cluster_cache"`
-
-	Epoch               int64                       `json:"epoch"`
-	OracleEpochs        map[string]int64            `json:"oracle_epochs,omitempty"`
-	RebuildsAvoided     int64                       `json:"rebuilds_avoided"`
-	LazyRebuilds        int64                       `json:"lazy_rebuilds"`
-	PendingUpdates      int                         `json:"pending_updates"`
-	TotalRebuilds       int64                       `json:"total_rebuilds"`
-	IncrementalRebuilds int64                       `json:"incremental_rebuilds"`
-	Strategies          map[string]map[string]int64 `json:"strategies,omitempty"`
-	ConnChainDepth      int                         `json:"conn_chain_depth"`
-	EdgesAdded          int64                       `json:"edges_added"`
-	EdgesRemoved        int64                       `json:"edges_removed"`
-	Rebuilds            []RebuildRecordJSON         `json:"rebuilds,omitempty"`
-}
-
-// RebuildRecordJSON mirrors RebuildRecord with CostJSON leaves and the
-// duration in milliseconds.
-type RebuildRecordJSON struct {
-	Epoch        int64               `json:"epoch"`
-	Strategy     string              `json:"strategy"`
-	Strategies   map[string]string   `json:"strategies,omitempty"`
-	Batches      int                 `json:"batches"`
-	AddedEdges   int                 `json:"added_edges"`
-	RemovedEdges int                 `json:"removed_edges"`
-	GraphCost    CostJSON            `json:"graph_cost"`
-	ConnCost     CostJSON            `json:"conn_cost"`
-	BiccCost     CostJSON            `json:"bicc_cost"`
-	OracleCosts  map[string]CostJSON `json:"oracle_costs,omitempty"`
-	DurationMs   float64             `json:"duration_ms"`
-	Err          string              `json:"error,omitempty"`
-}
-
-// KindStatsJSON mirrors KindStats with a CostJSON leaf.
-type KindStatsJSON struct {
-	Count  int64    `json:"count"`
-	Errors int64    `json:"errors"`
-	Cost   CostJSON `json:"cost"`
-}
-
-func costJSON(c asym.Cost) CostJSON {
-	return CostJSON{Omega: c.Omega, Reads: c.Reads, Writes: c.Writes, Ops: c.Ops, Work: c.Work()}
-}
-
-func costsJSON(m map[string]asym.Cost) map[string]CostJSON {
-	if m == nil {
-		return nil
-	}
-	out := make(map[string]CostJSON, len(m))
-	for name, c := range m {
-		out[name] = costJSON(c)
-	}
-	return out
+	OracleEpochs map[string]int64     `json:"oracle_epochs,omitempty"`
+	BuildCosts   map[string]asym.Cost `json:"build_costs"`
+	Build        obs.BuildInfo        `json:"build"`
 }
 
 // NewServer returns the HTTP handler serving a single engine: the engine
@@ -452,7 +342,7 @@ func handleStats(resolve resolver) http.HandlerFunc {
 		if !ok {
 			return
 		}
-		writeJSON(w, http.StatusOK, statsJSON(e.Stats()))
+		writeJSON(w, http.StatusOK, e.Stats())
 	}
 }
 
@@ -618,81 +508,12 @@ func infoOf(e *Engine) Info {
 		Workers:      e.workers,
 		Epoch:        sn.epoch,
 		Kinds:        e.Kinds(),
-		BuildConn:    costJSON(e.costByName(sn, "conn")),
-		BuildBicc:    costJSON(e.costByName(sn, "bicc")),
 		OracleEpochs: e.oracleEpochs(sn),
-		BuildCosts:   costsJSON(e.buildCosts(sn)),
+		BuildCosts:   e.buildCosts(sn),
 	}
 	info.NumComponents, info.NumBCC = sn.counts()
 	info.Build = obs.Build()
 	return info
-}
-
-func statsJSON(s Stats) StatsJSON {
-	out := StatsJSON{
-		GraphN:        s.GraphN,
-		GraphM:        s.GraphM,
-		Omega:         s.Omega,
-		K:             s.K,
-		Workers:       s.Workers,
-		NumComponents: s.NumComponents,
-		NumBCC:        s.NumBCC,
-		BuildConn:     costJSON(s.BuildConn),
-		BuildBicc:     costJSON(s.BuildBicc),
-		BuildCosts:    costsJSON(s.BuildCosts),
-		Queries:       make(map[string]KindStatsJSON, len(s.Queries)),
-		TotalQueries:  s.TotalQueries,
-	}
-	for k, ks := range s.Queries {
-		out.Queries[k] = KindStatsJSON{
-			Count:  ks.Count,
-			Errors: ks.Errors,
-			Cost:   costJSON(ks.Cost),
-		}
-	}
-	out.Admission = AdmissionJSON{
-		MaxInflight: s.Admission.MaxInflight,
-		Inflight:    s.Admission.Inflight,
-		Rejected:    s.Admission.Rejected,
-		QueueWaitMs: float64(s.Admission.QueueWait.Microseconds()) / 1000,
-	}
-	out.Pool = PoolJSON{
-		Size:        s.Pool.Size,
-		InUse:       s.Pool.InUse,
-		PeakInUse:   s.Pool.PeakInUse,
-		Tasks:       s.Pool.Tasks,
-		QueueWaitMs: float64(s.Pool.QueueWait.Microseconds()) / 1000,
-	}
-	out.ResultCache = s.ResultCache
-	out.ClusterCache = s.ClusterCache
-	out.Epoch = s.Epoch
-	out.OracleEpochs = s.OracleEpochs
-	out.RebuildsAvoided = s.RebuildsAvoided
-	out.LazyRebuilds = s.LazyRebuilds
-	out.PendingUpdates = s.PendingUpdates
-	out.TotalRebuilds = s.TotalRebuilds
-	out.IncrementalRebuilds = s.IncrementalRebuilds
-	out.Strategies = s.Strategies
-	out.ConnChainDepth = s.ConnChainDepth
-	out.EdgesAdded = s.EdgesAdded
-	out.EdgesRemoved = s.EdgesRemoved
-	for _, r := range s.Rebuilds {
-		out.Rebuilds = append(out.Rebuilds, RebuildRecordJSON{
-			Epoch:        r.Epoch,
-			Strategy:     r.Strategy,
-			Strategies:   r.Strategies,
-			Batches:      r.Batches,
-			AddedEdges:   r.AddedEdges,
-			RemovedEdges: r.RemovedEdges,
-			GraphCost:    costJSON(r.GraphCost),
-			ConnCost:     costJSON(r.ConnCost),
-			BiccCost:     costJSON(r.BiccCost),
-			OracleCosts:  costsJSON(r.OracleCosts),
-			DurationMs:   float64(r.Duration.Microseconds()) / 1000,
-			Err:          r.Err,
-		})
-	}
-	return out
 }
 
 // decodeBody decodes a JSON request body into out, enforcing the byte limit

@@ -72,8 +72,8 @@ func TestHTTPRoundTripAllEndpoints(t *testing.T) {
 	if info.GraphN != g.N() || info.GraphM != g.M() || len(info.Kinds) != len(Kinds) {
 		t.Errorf("/info mismatch: %+v", info)
 	}
-	if info.BuildConn.Writes == 0 || info.BuildBicc.Writes == 0 {
-		t.Errorf("/info build costs should have nonzero writes: %+v %+v", info.BuildConn, info.BuildBicc)
+	if info.BuildCosts["conn"].Writes == 0 || info.BuildCosts["bicc"].Writes == 0 {
+		t.Errorf("/info build costs should have nonzero writes: %+v", info.BuildCosts)
 	}
 
 	// One /query per kind, checked against a direct oracle call.
@@ -106,7 +106,7 @@ func TestHTTPRoundTripAllEndpoints(t *testing.T) {
 		}
 	}
 
-	var st StatsJSON
+	var st Stats
 	if code := getJSON(t, ts.URL+"/stats", &st); code != http.StatusOK {
 		t.Fatalf("/stats: code=%d", code)
 	}
@@ -119,7 +119,7 @@ func TestHTTPRoundTripAllEndpoints(t *testing.T) {
 			t.Errorf("/stats missing kind %s: %+v", k, ks)
 			continue
 		}
-		if ks.Cost.Reads == 0 || ks.Cost.Writes == 0 || ks.Cost.Work == 0 {
+		if ks.Cost.Reads == 0 || ks.Cost.Writes == 0 || ks.Cost.Work() == 0 {
 			t.Errorf("/stats kind %s: want nonzero reads/writes/work, got %+v", k, ks.Cost)
 		}
 	}
@@ -156,11 +156,11 @@ func TestHTTPBatch10kEquivalence(t *testing.T) {
 		t.Fatalf("%d/%d mismatches", mismatches, nq)
 	}
 
-	var st StatsJSON
+	var st Stats
 	getJSON(t, ts.URL+"/stats", &st)
 	for _, k := range Kinds {
 		c := st.Queries[string(k)].Cost
-		if c.Reads == 0 || c.Writes == 0 || c.Work == 0 {
+		if c.Reads == 0 || c.Writes == 0 || c.Work() == 0 {
 			t.Errorf("kind %s: want nonzero reads/writes/work after 10k batch, got %+v", k, c)
 		}
 	}

@@ -104,11 +104,8 @@ func (e *Engine) buildLazy(s *snapshot, fi int) (*lazyBuilt, error) {
 	}
 	lb := &lazyBuilt{o: o, cost: m.Snapshot()}
 	slot.built.Store(lb)
-	e.lazyBuilds.Add(1)
-	if e.met != nil {
-		if h := e.met.rebuildDur[StrategyLazy]; h != nil {
-			h.Observe(time.Since(start).Seconds())
-		}
-	}
+	// The observation is also the lazy-build count (Stats.LazyRebuilds,
+	// wec_lazy_rebuilds_total).
+	e.met.rebuildDur[StrategyLazy].Observe(time.Since(start).Seconds())
 	return lb, nil
 }

@@ -291,8 +291,8 @@ func TestLazyBootDefersBicc(t *testing.T) {
 	if got := st.OracleEpochs["bicc"]; got != -1 {
 		t.Fatalf("boot bicc epoch %d, want -1 (never built)", got)
 	}
-	if st.BuildBicc.Writes != 0 || st.NumBCC != 0 {
-		t.Fatalf("lazy boot paid for bicc: writes=%d numBCC=%d", st.BuildBicc.Writes, st.NumBCC)
+	if st.BuildCosts["bicc"].Writes != 0 || st.NumBCC != 0 {
+		t.Fatalf("lazy boot paid for bicc: writes=%d numBCC=%d", st.BuildCosts["bicc"].Writes, st.NumBCC)
 	}
 	if r := e.Query(Query{Kind: KindConnected, U: 0, V: 1}); r.Err != "" {
 		t.Fatalf("conn query on lazy-booted engine: %s", r.Err)
@@ -308,7 +308,7 @@ func TestLazyBootDefersBicc(t *testing.T) {
 	if st.LazyRebuilds != 1 || st.OracleEpochs["bicc"] != st.Epoch {
 		t.Fatalf("after bicc queries: lazy=%d epoch=%d/%d", st.LazyRebuilds, st.OracleEpochs["bicc"], st.Epoch)
 	}
-	if st.BuildBicc.Writes == 0 {
-		t.Fatal("deferred build cost did not surface in BuildBicc")
+	if st.BuildCosts["bicc"].Writes == 0 {
+		t.Fatal("deferred build cost did not surface in build_costs[bicc]")
 	}
 }

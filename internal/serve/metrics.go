@@ -97,7 +97,7 @@ func newEngineMetrics(reg *obs.Registry, graphName string, e *Engine) *engineMet
 		Set(func() float64 { return float64(e.rebuildsAvoided.Load()) }, graphName)
 	reg.NewFuncVec("wec_lazy_rebuilds_total",
 		"Deferred oracle rebuilds actually performed on the query path (single-flight, first matching query pays).", obs.TypeCounter, "graph").
-		Set(func() float64 { return float64(e.lazyBuilds.Load()) }, graphName)
+		Set(func() float64 { return float64(m.rebuildDur[StrategyLazy].Count()) }, graphName)
 
 	reg.NewFuncVec("wec_published_epoch",
 		"Epoch of the currently published snapshot.", obs.TypeGauge, "graph").

@@ -191,7 +191,7 @@ func TestRegistryLifecycleHTTP(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("update b: code=%d body=%s", resp.StatusCode, body)
 	}
-	var sa, sbJSON StatsJSON
+	var sa, sbJSON Stats
 	_, body = doReq(t, http.MethodGet, ts.URL+"/graphs/a/stats", nil)
 	if err := json.Unmarshal(body, &sa); err != nil {
 		t.Fatal(err)
@@ -325,7 +325,7 @@ func TestAdmissionControl(t *testing.T) {
 	if st.Admission.MaxInflight != 1 || st.Admission.Rejected != 3 || st.Admission.Inflight != 0 {
 		t.Fatalf("admission stats %+v (want cap 1, 3 rejections, 0 inflight)", st.Admission)
 	}
-	var sj StatsJSON
+	var sj Stats
 	_, body := doReq(t, http.MethodGet, ts.URL+"/stats", nil)
 	if err := json.Unmarshal(body, &sj); err != nil {
 		t.Fatal(err)

@@ -112,9 +112,8 @@ type UpdateStatus struct {
 // name. The costs are the publish path's own metered work: a lazily
 // deferred oracle contributes only its refused patch attempt (often zero) —
 // the deferred build's cost surfaces later on the snapshot's build-cost
-// side (/stats Oracles), not here. ConnCost/BiccCost are the built-in
-// factories' costs (kept for single-graph clients); OracleCosts has every
-// registered factory's, keyed by factory name.
+// side (/stats build_costs), not here. OracleCosts has every registered
+// factory's cost, keyed by factory name.
 type RebuildRecord struct {
 	Epoch        int64                `json:"epoch"`
 	Strategy     string               `json:"strategy"`             // patched-insert | patched-delete | rebased | lazy | full
@@ -123,8 +122,6 @@ type RebuildRecord struct {
 	AddedEdges   int                  `json:"added_edges"`
 	RemovedEdges int                  `json:"removed_edges"`
 	GraphCost    asym.Cost            `json:"graph_cost"` // writing the new CSR
-	ConnCost     asym.Cost            `json:"conn_cost"`  // connectivity oracle (patched, rebased or full)
-	BiccCost     asym.Cost            `json:"bicc_cost"`  // biconnectivity oracle (patched, deferred or full)
 	OracleCosts  map[string]asym.Cost `json:"oracle_costs,omitempty"`
 	Duration     time.Duration        `json:"duration_ns"`
 	Err          string               `json:"error,omitempty"`
@@ -620,8 +617,6 @@ func (e *Engine) buildNext(cur *snapshot, batches []*updateBatch) (*snapshot, Re
 	for i, f := range e.factories {
 		rec.OracleCosts[f.Name] = ms[i].Snapshot()
 	}
-	rec.ConnCost = rec.OracleCosts["conn"]
-	rec.BiccCost = rec.OracleCosts["bicc"]
 	costs := make([]asym.Cost, nf)
 	for i, m := range ms {
 		costs[i] = m.Snapshot()

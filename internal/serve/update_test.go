@@ -110,9 +110,9 @@ func TestUpdateInsertionIncremental(t *testing.T) {
 	// the connectivity oracle over the same graph.
 	fresh := New(e.Graph(), Config{Omega: 16, Seed: 5})
 	defer fresh.Close()
-	if rec.ConnCost.Writes >= fresh.Stats().BuildConn.Writes {
+	if rec.OracleCosts["conn"].Writes >= fresh.Stats().BuildCosts["conn"].Writes {
 		t.Fatalf("incremental conn writes %d not below full build %d",
-			rec.ConnCost.Writes, fresh.Stats().BuildConn.Writes)
+			rec.OracleCosts["conn"].Writes, fresh.Stats().BuildCosts["conn"].Writes)
 	}
 	assertEquivalent(t, e, fresh, 99)
 }
@@ -354,14 +354,14 @@ func TestHTTPUpdateRoundTrip(t *testing.T) {
 	if info.Epoch != 1 || info.GraphM != g.M()+1 {
 		t.Fatalf("info %+v", info)
 	}
-	var st StatsJSON
+	var st Stats
 	getJSON(t, ts.URL+"/stats", &st)
 	if st.Epoch != 1 || st.TotalRebuilds != 1 || st.IncrementalRebuilds != 1 ||
 		st.PendingUpdates != 0 || len(st.Rebuilds) != 1 {
 		t.Fatalf("stats epoch=%d rebuilds=%d/%d pending=%d records=%d",
 			st.Epoch, st.IncrementalRebuilds, st.TotalRebuilds, st.PendingUpdates, len(st.Rebuilds))
 	}
-	if st.Rebuilds[0].Strategy != StrategyPatchedInsert || st.Rebuilds[0].ConnCost.Work == 0 {
+	if st.Rebuilds[0].Strategy != StrategyPatchedInsert || st.Rebuilds[0].OracleCosts["conn"].Work() == 0 {
 		t.Fatalf("rebuild record %+v", st.Rebuilds[0])
 	}
 	if st.Rebuilds[0].Strategies["conn"] != StrategyPatchedInsert {
