@@ -1,5 +1,7 @@
 package asym
 
+import "math/bits"
+
 // Array is an asymmetric-memory array of int32 words. Every Get charges one
 // read and every Set charges one write to the attached Meter. Algorithms in
 // this repository store all Θ(n)- and Θ(m)-sized state (component labels,
@@ -124,4 +126,43 @@ func (b *BitArray) Set(i int, v bool) {
 // RawGet reads bit i without charging. For verification only.
 func (b *BitArray) RawGet(i int) bool {
 	return b.words[i/64]&(1<<uint(i%64)) != 0
+}
+
+// Rank is a constant-time rank directory over a BitArray, the one-level
+// form of Jacobson's rank structure ("Space-efficient static trees and
+// graphs", FOCS 1989; Vigna's rank9, WEA 2008): one int32 per 64-bit word
+// holding the number of set bits in all earlier words. It turns "position
+// of bit i among the set bits" into one word read, one directory read and a
+// popcount. The bit array must not change once the directory is built.
+type Rank struct {
+	b   *BitArray
+	dir []int32 // dir[w] = set bits in words[0:w]
+}
+
+// NewRank builds the rank directory over b, charging b's meter one read per
+// word scanned and one write per directory entry: ⌈Len/64⌉ of each.
+func NewRank(b *BitArray) *Rank {
+	dir := make([]int32, len(b.words))
+	b.m.Read(len(b.words))
+	b.m.Write(len(dir))
+	var c int32
+	for w, word := range b.words {
+		dir[w] = c
+		c += int32(bits.OnesCount64(word))
+	}
+	return &Rank{b: b, dir: dir}
+}
+
+// Index returns the number of set bits before position i when bit i is set,
+// and -1 when it is not. It charges m one read for the bit's word, plus one
+// directory read when the bit is set.
+func (r *Rank) Index(m *Meter, i int) int {
+	m.Read(1)
+	word := r.b.words[i/64]
+	bit := uint64(1) << uint(i%64)
+	if word&bit == 0 {
+		return -1
+	}
+	m.Read(1)
+	return int(r.dir[i/64]) + bits.OnesCount64(word&(bit-1))
 }

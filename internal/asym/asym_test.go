@@ -319,3 +319,42 @@ func TestProjectedSpeedupMonotone(t *testing.T) {
 		t.Fatalf("speedup above depth ceiling: %f", s)
 	}
 }
+
+func TestRank(t *testing.T) {
+	// Property: Index agrees with a linear count of the set bits before i,
+	// at one read for a clear bit and two for a set one, on lengths that
+	// do and do not fill their last word.
+	f := func(set []uint16, n uint8) bool {
+		size := 1 + int(n)%200
+		m := NewMeter(1)
+		b := NewBitArray(m, size)
+		for _, i := range set {
+			b.Set(int(i)%size, true)
+		}
+		words := (size + 63) / 64
+		before := m.Snapshot()
+		r := NewRank(b)
+		if d := m.Snapshot().Sub(before); d.Reads != int64(words) || d.Writes != int64(words) {
+			return false
+		}
+		rank := 0
+		for i := 0; i < size; i++ {
+			qm := NewMeter(1)
+			got := r.Index(qm, i)
+			if !b.RawGet(i) {
+				if got != -1 || qm.Reads() != 1 {
+					return false
+				}
+				continue
+			}
+			if got != rank || qm.Reads() != 2 {
+				return false
+			}
+			rank++
+		}
+		return true
+	}
+	if err := quick.Check(f, nil); err != nil {
+		t.Fatal(err)
+	}
+}

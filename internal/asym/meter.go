@@ -11,7 +11,8 @@
 //     writes, and unit-cost operations, from which Work = other + reads +
 //     ω·writes is derived.
 //   - Array / BitArray: metered asymmetric-memory arrays; every access is
-//     charged to a Meter.
+//     charged to a Meter. Rank adds a constant-read rank directory over a
+//     BitArray.
 //   - SymTracker: a high-water-mark tracker for symmetric-memory usage so the
 //     paper's O(k log n)-word budgets are testable.
 //

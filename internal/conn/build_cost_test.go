@@ -22,9 +22,9 @@ func TestBuildCostsPinned(t *testing.T) {
 		g            *graph.Graph
 		build, visit cost
 	}{
-		{"random-regular", graph.RandomRegular(8192, 3, 42), cost{2961677, 55565, 840975, 168}, cost{1306896, 0, 349948, 1678}},
-		{"grid", graph.Grid2D(40, 40), cost{620145, 11046, 172632, 102}, cost{259568, 0, 70383, 409}},
-		{"disconnected-cycles", graph.Disconnected(graph.Cycle(5), 3), cost{728, 86, 158, 15}, cost{396, 0, 122, 17}},
+		{"random-regular", graph.RandomRegular(8192, 3, 42), cost{2755176, 55693, 840975, 168}, cost{1120080, 0, 349948, 1678}},
+		{"grid", graph.Grid2D(40, 40), cost{597449, 11071, 172632, 102}, cost{236322, 0, 70383, 409}},
+		{"disconnected-cycles", graph.Disconnected(graph.Cycle(5), 3), cost{731, 87, 158, 15}, cost{376, 0, 122, 17}},
 	}
 	check := func(t *testing.T, phase string, m *asym.Meter, sym *asym.SymTracker, want cost) {
 		t.Helper()

@@ -1,10 +1,12 @@
 package conn
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 
 	"repro/internal/asym"
+	"repro/internal/decomp"
 	"repro/internal/graph"
 	"repro/internal/parallel"
 	"repro/internal/unionfind"
@@ -269,9 +271,41 @@ func TestOracleQueryCostNoWrites(t *testing.T) {
 		reads += d.Reads
 	}
 	avg := reads / int64(g.N())
-	// O(k) expected plus O(log n') index lookup; allow 40k.
+	// O(k) expected plus a constant-read label lookup; allow 40k.
 	if avg > int64(40*k) {
 		t.Fatalf("avg query reads = %d, want O(k)=O(%d)", avg, k)
+	}
+}
+
+// TestOracleQueryReadsIndependentOfN holds the conn query to Theorem 4.4's
+// bound with no log n term: beyond the ρ search, a stored-center lookup
+// costs exactly 3 reads (rank-directory word and entry, then the label) at
+// every n, so mean reads per query stay flat as n grows 16×.
+func TestOracleQueryReadsIndependentOfN(t *testing.T) {
+	var means []float64
+	for _, n := range []int{4096, 16384, 65536} {
+		g := graph.RandomRegular(n, 3, 42)
+		m, c := env(64)
+		o := BuildOracle(c, graph.View{G: g, M: m}, 8, 7)
+		sc := decomp.NewScratch()
+		var reads, queries int64
+		for v := int32(0); int(v) < n; v += 7 {
+			qm, rm := asym.NewMeter(64), asym.NewMeter(64)
+			o.QueryS(qm, nil, sc, v)
+			s := o.D.RhoS(rm, nil, sc, v)
+			if o.D.CenterIndex(asym.NewMeter(64), s) < 0 {
+				t.Fatalf("n=%d: ρ(%d) = %d is not a stored center", n, v, s)
+			}
+			if extra := qm.Reads() - rm.Reads(); extra != 3 {
+				t.Fatalf("n=%d: query(%d) read %d beyond its ρ search, want 3", n, v, extra)
+			}
+			reads += qm.Reads()
+			queries++
+		}
+		means = append(means, float64(reads)/float64(queries))
+	}
+	if lo, hi := slices.Min(means), slices.Max(means); hi-lo >= 1.5 {
+		t.Fatalf("mean reads per query span %.2f..%.2f across n, want a spread under 1.5", lo, hi)
 	}
 }
 

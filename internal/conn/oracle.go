@@ -28,7 +28,8 @@ import (
 type Oracle struct {
 	D *decomp.Decomposition
 	// labels[i] is the canonical component label of the i-th center: the
-	// smallest center id in its clusters-graph component. O(n/k) words.
+	// vertex id of the smallest center in its clusters-graph component, so
+	// a query returns it as read. O(n/k) words.
 	labels *asym.Array
 	// NumComponents counts components that contain at least one stored
 	// center; small primary-free components are answered implicitly and
@@ -132,8 +133,9 @@ func BuildOracle(c *parallel.Ctx, vw graph.View, k int, seed uint64) *Oracle {
 	for i := 0; i < nPrime; i++ {
 		labels.Set(i, labels.Get(int(dec.Cluster.Get(i))))
 	}
-	// Canonicalize to the smallest center index per component, so the
-	// stored label is the component's smallest center id once resolved.
+	// Canonicalize to the smallest center per component and store its
+	// vertex id (one Center read per center), so a query returns the
+	// label it reads without resolving it to a center.
 	minOf := map[int32]int32{}
 	for i := 0; i < nPrime; i++ {
 		lab := labels.Get(i)
@@ -142,7 +144,7 @@ func BuildOracle(c *parallel.Ctx, vw graph.View, k int, seed uint64) *Oracle {
 		}
 	}
 	for i := 0; i < nPrime; i++ {
-		labels.Set(i, minOf[labels.Get(i)])
+		labels.Set(i, d.Center(m, int(minOf[labels.Get(i)])))
 	}
 	o.labels = labels
 	o.NumComponents = len(minOf)
@@ -151,8 +153,9 @@ func BuildOracle(c *parallel.Ctx, vw graph.View, k int, seed uint64) *Oracle {
 
 // Query returns the component label of v: the smallest center id in v's
 // component, or the implicit center itself for small primary-free
-// components. O(k) expected reads (the ρ query) plus O(log n) for the
-// center-index lookup; no writes.
+// components. O(k) expected reads (the ρ query) plus a constant three for
+// a stored center (its rank-directory word and entry, then its label); no
+// writes.
 func (o *Oracle) Query(m *asym.Meter, sym *asym.SymTracker, v int32) int32 {
 	return o.QueryS(m, sym, nil, v)
 }
@@ -173,8 +176,7 @@ func (o *Oracle) QueryS(m *asym.Meter, sym *asym.SymTracker, sc *decomp.Scratch,
 		lab = s
 	} else {
 		m.Read(1)
-		labIdx := o.labels.Raw()[i] //wec:unmetered charged by the m.Read(1) above
-		lab = o.D.Center(m, int(labIdx))
+		lab = o.labels.Raw()[i] //wec:unmetered charged by the m.Read(1) above
 	}
 	if o.remap != nil {
 		m.Read(1)

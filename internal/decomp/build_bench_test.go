@@ -1,6 +1,7 @@
 package decomp
 
 import (
+	"fmt"
 	"testing"
 
 	"repro/internal/asym"
@@ -81,4 +82,24 @@ func BenchmarkNeighborCentersS(b *testing.B) {
 		benchSink += len(d.NeighborCentersS(m, nil, sc, centers[i*7919%nc]))
 	}
 	b.ReportMetric(float64(m.Reads())/float64(b.N), "reads/op")
+}
+
+// BenchmarkCenterIndex times one center → clusters-graph id lookup, the
+// step every conn query and bicc cluster lookup takes after its ρ search.
+// Lookups are on stored centers, as on the query path, at two sizes 16×
+// apart: reads/op is 2 at both, so neither it nor ns/op should grow with n.
+func BenchmarkCenterIndex(b *testing.B) {
+	for _, n := range []int{4096, 65536} {
+		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
+			d, _, _ := build(graph.RandomRegular(n, 3, 42), 8, 7, Options{})
+			centers := d.centers.Raw()
+			nc := len(centers)
+			m := asym.NewMeter(64)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				benchSink += d.CenterIndex(m, centers[i*7919%nc])
+			}
+			b.ReportMetric(float64(m.Reads())/float64(b.N), "reads/op")
+		})
+	}
 }

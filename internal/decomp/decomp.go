@@ -31,8 +31,9 @@ import (
 
 // Decomposition is an implicit k-decomposition (S, ρ, ℓ) of a bounded-degree
 // graph. Asymmetric state is two bit vectors (center membership and the
-// 1-bit primary/secondary label) and a sorted center list used as the
-// clusters-graph vertex numbering.
+// 1-bit primary/secondary label), a sorted center list used as the
+// clusters-graph vertex numbering, and a rank directory over the membership
+// bits (⌈n/64⌉ words) that maps a center to its place in that numbering.
 //
 //wec:immutable
 type Decomposition struct {
@@ -43,6 +44,7 @@ type Decomposition struct {
 	isCenter  *asym.BitArray // over vertices
 	isPrimary *asym.BitArray // over vertices; meaningful where isCenter
 	centers   *asym.Array    // sorted center ids (clusters-graph numbering)
+	rank      *asym.Rank     // over isCenter: center id -> clusters-graph id
 
 	unstable bool          // Options.UnstableTieBreak
 	callSeq  atomic.Uint64 // per-search sequence for the unstable ablation
@@ -136,6 +138,8 @@ func Build(c *parallel.Ctx, vw graph.View, k int, seed uint64, opt Options) *Dec
 	for i, s := range ids {
 		d.centers.Set(i, s)
 	}
+	// The inverse numbering, for CenterIndex: ⌈n/64⌉ writes.
+	d.rank = asym.NewRank(d.isCenter)
 	return d
 }
 
@@ -155,23 +159,13 @@ func (d *Decomposition) Center(m *asym.Meter, i int) int32 {
 }
 
 // CenterIndex returns the position of center s in the sorted center list
-// (its clusters-graph id), or -1. Binary search: O(log n) reads.
+// (its clusters-graph id), or -1 when s is not a stored center. A rank
+// directory lookup: one read for a non-center, two for a center.
 func (d *Decomposition) CenterIndex(m *asym.Meter, s int32) int {
-	lo, hi := 0, d.centers.Len()
-	for lo < hi {
-		mid := (lo + hi) / 2
-		m.Read(1)
-		if d.centers.Raw()[mid] < s { //wec:unmetered charged by the m.Read(1) above
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
+	if s < 0 || int(s) >= d.isCenter.Len() {
+		return -1
 	}
-	m.Read(1)
-	if lo < d.centers.Len() && d.centers.Raw()[lo] == s { //wec:unmetered charged by the m.Read(1) above
-		return lo
-	}
-	return -1
+	return d.rank.Index(m, int(s))
 }
 
 // IsCenter reports whether v is in S, charging one read.

@@ -277,6 +277,78 @@ func TestCenterIndexRoundTrip(t *testing.T) {
 	}
 }
 
+// refCenterIndex is the reference CenterIndex: a binary search over the
+// sorted center list.
+func refCenterIndex(centers []int32, s int32) int {
+	lo, hi := 0, len(centers)
+	for lo < hi {
+		mid := (lo + hi) / 2
+		if centers[mid] < s {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	if lo < len(centers) && centers[lo] == s {
+		return lo
+	}
+	return -1
+}
+
+// TestCenterIndexMatchesBinarySearch checks the rank-directory CenterIndex
+// against a binary search over the sorted centers at every vertex — centers,
+// non-centers and the implicit centers of small primary-free components —
+// together with its exact charge: one read for a non-center, two for a
+// center.
+func TestCenterIndexMatchesBinarySearch(t *testing.T) {
+	cases := []struct {
+		name     string
+		g        *graph.Graph
+		implicit bool // has small primary-free components
+	}{
+		{"random-regular", graph.RandomRegular(1000, 3, 42), false},
+		{"grid", graph.Grid2D(30, 30), false},
+		{"disconnected-cycles", graph.Disconnected(graph.Cycle(5), 13), true},
+		{"powerlaw", graph.BoundDegree(graph.PowerLaw(2000, 4, 3), 3).G, false},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			d, _, _ := build(tc.g, 8, 7, Options{})
+			n := tc.g.N()
+			if n%64 == 0 {
+				t.Fatalf("n = %d fills its last directory word; pick a size that does not", n)
+			}
+			centers := d.centers.Raw()
+			implicit := 0
+			for v := int32(0); int(v) < n; v++ {
+				m := asym.NewMeter(1)
+				got, want := d.CenterIndex(m, v), refCenterIndex(centers, v)
+				if got != want {
+					t.Fatalf("CenterIndex(%d) = %d, binary search says %d", v, got, want)
+				}
+				wantReads := int64(1)
+				if want >= 0 {
+					wantReads = 2
+				}
+				if m.Reads() != wantReads {
+					t.Fatalf("CenterIndex(%d) charged %d reads, want %d", v, m.Reads(), wantReads)
+				}
+				if want < 0 && d.Rho(asym.NewMeter(1), nil, v) == v {
+					implicit++
+				}
+			}
+			if (implicit > 0) != tc.implicit {
+				t.Fatalf("%d implicit centers, want some: %v", implicit, tc.implicit)
+			}
+			for _, s := range []int32{-1, int32(n)} {
+				if got := d.CenterIndex(asym.NewMeter(1), s); got != -1 {
+					t.Fatalf("CenterIndex(%d) = %d for a non-vertex", s, got)
+				}
+			}
+		})
+	}
+}
+
 func TestIsCenterIsPrimary(t *testing.T) {
 	g := graph.Cycle(64)
 	d, _, _ := build(g, 8, 61, Options{})
