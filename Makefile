@@ -16,7 +16,7 @@ RACE_PKGS := ./internal/serve/... ./internal/oracle/... ./internal/store/... \
              ./internal/bicc/ ./internal/spanning/ ./internal/ldd/ \
              ./internal/graph/ ./internal/decomp/ ./internal/core/
 
-.PHONY: build test race bench bench-record bench-smoke bench-baseline bench-check lint serve smoke smoke-churn smoke-multitenant smoke-restart ci
+.PHONY: build test race bench bench-record bench-smoke bench-baseline bench-check fuzz-smoke lint serve smoke smoke-churn smoke-multitenant smoke-restart ci
 
 build:
 	$(GO) build ./...
@@ -76,6 +76,12 @@ bench-check:
 	cd perfbench && GOFLAGS=-mod=mod GOWORK=off $(GO) vet ./... && \
 	  GOFLAGS=-mod=mod GOWORK=off $(GO) test ./...
 
+# A short native fuzz run of the /batch codec against encoding/json
+# (plain `go test` runs only its seed corpus). The budget is an exec count,
+# not a duration: a time-based -fuzztime can stall on a 2-vCPU machine.
+fuzz-smoke:
+	$(GO) test -run '^$$' -fuzz '^FuzzBatchDecode$$' -fuzztime 5000x ./internal/serve/
+
 # gofmt + vet + the repository's own invariant analyzers (weclint: metered
 # access, snapshot immutability, typed errors, the zero-alloc hot path,
 # godoc coverage, //wec: directive hygiene — see docs/static-analysis.md).
@@ -131,4 +137,4 @@ smoke-restart:
 	$(GO) run -race ./cmd/wecbench -exp restart -restartchurn 4 -oracledbin $$tmp/oracled; \
 	rc=$$?; rm -rf $$tmp; exit $$rc
 
-ci: lint build test race bench bench-smoke bench-check smoke smoke-churn smoke-multitenant smoke-restart
+ci: lint build test race bench bench-smoke bench-check fuzz-smoke smoke smoke-churn smoke-multitenant smoke-restart

@@ -137,3 +137,26 @@ func TestDoBatchAllocBound(t *testing.T) {
 		t.Errorf("Do batch: %.1f allocs/batch = %.3f allocs/query, want <= 0.1", allocs, perQuery)
 	}
 }
+
+// TestBatchCodecZeroAlloc is the runtime ground truth behind the
+// //wec:noalloc marks on the /batch codec: with the query slice and the
+// response buffer warm (as the handler's pooled ones are), decoding the
+// canonical http-conn body and encoding its answers allocates nothing.
+func TestBatchCodecZeroAlloc(t *testing.T) {
+	_, rs, body := httpConnBatch(1)
+	var req BatchRequest
+	if err := decodeBatchRequest(body, &req); err != nil {
+		t.Fatal(err)
+	}
+	buf := appendBatchResponse(nil, rs)
+	allocs := testing.AllocsPerRun(100, func() {
+		req = BatchRequest{Queries: req.Queries[:0]}
+		if err := decodeBatchRequest(body, &req); err != nil {
+			t.Fatal(err)
+		}
+		buf = appendBatchResponse(buf[:0], rs)
+	})
+	if allocs != 0 {
+		t.Errorf("warm /batch decode + encode: %.1f allocs, want 0", allocs)
+	}
+}

@@ -54,11 +54,17 @@ import (
 // methods get 405 with an Allow header (the method-aware mux patterns
 // below), never a zero-value decode of the wrong request shape.
 //
+// /batch, the hot endpoint, reads and writes its JSON with a hand-written
+// codec (batchcodec.go) that keeps encoding/json's semantics byte for byte
+// and decodes into pooled memory without reflection; every other endpoint
+// uses encoding/json.
+//
 // Batch requests are capped at MaxBatch queries so a single request cannot
 // hold a worker set for an unbounded time; load generators split larger
 // workloads into multiple requests (cmd/wecbench -exp serve does). The cap
 // is enforced before decoding via a MaxBytesReader on the request body —
-// rejecting an oversized batch must not itself cost an oversized decode.
+// rejecting an oversized batch must not itself cost an oversized decode —
+// and any /batch body over maxBatchBytes is a 413.
 // Update requests are capped the same way at MaxUpdateEdges edges, graph
 // creations at maxGraphSpecBytes.
 
@@ -401,8 +407,10 @@ func handleBatch(tr *obs.Tracer, resolve resolver, nameOf func(*http.Request) st
 			return
 		}
 		defer release()
-		var req BatchRequest
-		status, err := decodeBody(w, r, maxBatchBytes, &req)
+		sc := batchPool.Get().(*batchScratch)
+		defer putBatchScratch(sc)
+		req := BatchRequest{Queries: sc.queries[:0]}
+		status, err := decodeBatchBody(w, r, sc, &req)
 		treq.Phase("decode")
 		if err != nil {
 			treq.Finish(status)
@@ -432,7 +440,11 @@ func handleBatch(tr *obs.Tracer, resolve resolver, nameOf func(*http.Request) st
 		dur := treq.Elapsed() - off
 		treq.Add("pool_queue", off, wait)
 		treq.Add("answer", off+wait, dur-wait)
-		writeJSON(w, http.StatusOK, BatchResponse{Results: results, Count: len(results)})
+		// The body is decoded, so its buffer takes the response.
+		sc.buf = appendBatchResponse(sc.buf[:0], results)
+		w.Header().Set("Content-Type", "application/json")
+		w.WriteHeader(http.StatusOK)
+		_, _ = w.Write(sc.buf) // a failed write means the client went away
 		treq.Phase("encode")
 		treq.Finish(http.StatusOK)
 	}
@@ -527,13 +539,42 @@ func decodeBody(w http.ResponseWriter, r *http.Request, limit int64, out any) (i
 	if err == nil {
 		return 0, nil
 	}
+	return bodyError(w, limit, err), err
+}
+
+// decodeBatchBody reads the whole /batch body into sc.buf and decodes it
+// into req (whose Queries is sc.queries' backing array) with the /batch
+// codec. Unlike decodeBody, any body over maxBatchBytes is a 413, even one
+// holding a complete value before the limit. Errors are written and
+// reported as in decodeBody.
+func decodeBatchBody(w http.ResponseWriter, r *http.Request, sc *batchScratch, req *BatchRequest) (int, error) {
+	if r.ContentLength > maxBatchBytes {
+		err := &http.MaxBytesError{Limit: maxBatchBytes}
+		return bodyError(w, maxBatchBytes, err), err
+	}
+	var err error
+	sc.buf, err = readBody(http.MaxBytesReader(w, r.Body, maxBatchBytes), sc.buf[:0])
+	if err == nil {
+		err = decodeBatchRequest(sc.buf, req)
+		sc.queries = req.Queries[:0]
+	}
+	if err != nil {
+		return bodyError(w, maxBatchBytes, err), err
+	}
+	return 0, nil
+}
+
+// bodyError writes the error response for a request body that failed to
+// read or decode — 413 when the byte limit tripped, 400 otherwise — and
+// returns its status.
+func bodyError(w http.ResponseWriter, limit int64, err error) int {
 	var tooLarge *http.MaxBytesError
 	if errors.As(err, &tooLarge) {
 		httpError(w, http.StatusRequestEntityTooLarge, "request body exceeds %d bytes", limit)
-		return http.StatusRequestEntityTooLarge, err
+		return http.StatusRequestEntityTooLarge
 	}
 	httpError(w, http.StatusBadRequest, "bad request body: %v", err)
-	return http.StatusBadRequest, err
+	return http.StatusBadRequest
 }
 
 func writeJSON(w http.ResponseWriter, status int, v any) {
