@@ -76,11 +76,13 @@ bench-check:
 	cd perfbench && GOFLAGS=-mod=mod GOWORK=off $(GO) vet ./... && \
 	  GOFLAGS=-mod=mod GOWORK=off $(GO) test ./...
 
-# A short native fuzz run of the /batch codec against encoding/json
-# (plain `go test` runs only its seed corpus). The budget is an exec count,
-# not a duration: a time-based -fuzztime can stall on a 2-vCPU machine.
+# Short native fuzz runs (plain `go test` runs only the seed corpora): the
+# /batch codec against encoding/json, and the bicc block solver against
+# Ref on small multigraphs. The budget is an exec count, not a duration: a
+# time-based -fuzztime can stall on a 2-vCPU machine.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzBatchDecode$$' -fuzztime 5000x ./internal/serve/
+	$(GO) test -run '^$$' -fuzz '^FuzzLocalBlocks$$' -fuzztime 5000x ./internal/bicc/
 
 # gofmt + vet + the repository's own invariant analyzers (weclint: metered
 # access, snapshot immutability, typed errors, the zero-alloc hot path,

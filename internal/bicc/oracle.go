@@ -47,10 +47,10 @@ type Oracle struct {
 	// Spanning biconnected components: union-find over cluster tree edges
 	// (indexed by child cluster); spanBCC is the canonical id.
 	spanBCC []int32
-	// internalOffset[C] is the prefix-sum offset of C's fully-internal
-	// BCCs in the global label space (which places all spanning BCC ids
-	// below spanBase... above, rather: internal ids start at 0 per prefix
-	// sums, spanning ids are spanBase+component).
+	// internalOffset[C] is where C's fully-internal BCCs start in the
+	// global label space: the prefix sum of the internal BCC counts of
+	// clusters 0..C-1. Internal labels therefore fill [0, spanBase), and
+	// spanning BCCs take labels from spanBase up (spanBCC).
 	internalOffset []int32
 	spanBase       int32
 
@@ -59,12 +59,11 @@ type Oracle struct {
 }
 
 // localGraph is the Definition 4 local graph of one cluster, rebuilt in
-// symmetric memory on demand.
+// symmetric memory on demand, with its blocks.
 type localGraph struct {
-	ref    *Ref
-	idOf   map[int32]int32 // original vertex -> local id
-	nodes  []int32         // local id -> original vertex
-	inside map[int32]bool  // original vertex is a cluster member (Vi)
+	blocks
+	idOf  map[int32]int32 // original vertex -> local id
+	nodes []int32         // local id -> original vertex
 	// voEdge maps a Vo node's local id to the cluster tree edge it
 	// represents, identified by the child cluster index (for the parent
 	// edge of C this is C itself).
@@ -280,8 +279,8 @@ func BuildOracle(c *parallel.Ctx, vw graph.View, d *decomp.Decomposition, k int,
 					continue // the parent edge itself
 				}
 				y := voID
-				o.rbV[child] = lg.ref.SameBCC(y, exit)
-				o.rbE[child] = lg.ref.TwoEdgeCC[y] == lg.ref.TwoEdgeCC[exit]
+				o.rbV[child] = lg.sameBCC(y, exit)
+				o.rbE[child] = lg.twoEdge[y] == lg.twoEdge[exit]
 			}
 		} else {
 			// Root cluster: no parent side; mark children passable only
@@ -301,7 +300,7 @@ func BuildOracle(c *parallel.Ctx, vw graph.View, d *decomp.Decomposition, k int,
 		}
 		for i := 0; i < len(vos); i++ {
 			for j := i + 1; j < len(vos); j++ {
-				if lg.ref.SameBCC(vos[i], vos[j]) {
+				if lg.sameBCC(vos[i], vos[j]) {
 					huf.union(lg.voEdge[vos[i]], lg.voEdge[vos[j]])
 				}
 			}
@@ -309,12 +308,12 @@ func BuildOracle(c *parallel.Ctx, vw graph.View, d *decomp.Decomposition, k int,
 		// Internal BCCs: local BCCs containing no Vo node.
 		voBCC := map[int32]bool{}
 		for _, voID := range vos {
-			for _, b := range lg.ref.VertexBCCs[voID] {
+			for _, b := range lg.vertexBlocks(voID) {
 				voBCC[b] = true
 			}
 		}
 		cnt := int32(0)
-		for b := 0; b < lg.ref.NumBCC; b++ {
+		for b := 0; b < lg.numBCC; b++ {
 			if !voBCC[int32(b)] {
 				cnt++
 			}
@@ -387,8 +386,8 @@ func BuildOracle(c *parallel.Ctx, vw graph.View, d *decomp.Decomposition, k int,
 	for v := int32(0); int(v) < vw.G.N(); v++ {
 		s := d.RhoS(m, sym, sc.dsc, v)
 		if d.CenterIndex(m, s) < 0 && s == v {
-			ref, _ := o.smallComponent(m, sym, v)
-			o.NumBCC += ref.NumBCC
+			b, _ := o.smallComponent(m, sym, sc, v)
+			o.NumBCC += b.numBCC
 		}
 	}
 	return o

@@ -55,24 +55,25 @@ func (o *Oracle) local(m *asym.Meter, sym *asym.SymTracker, ci int32) *localGrap
 }
 
 // buildLocal is the local-graph construction behind local (nil sc) and the
-// cache fill of localS (any sc). A non-nil scratch supplies the transient
-// build buffers — member list, tree-neighbor list, edge list, label and
-// witness sets — while the returned *localGraph always owns its maps and
-// node list: it is the artifact the ClusterCache retains, so nothing in it
-// may alias the scratch.
+// cache fill of localS (any sc; nil allocates one for the call). It lists
+// the cluster once: NeighborCentersS runs one ρ search per vertex of N[C]
+// and records each ρ in the search scratch, and every later membership
+// test and boundary-edge cluster lookup reads that record. The scratch
+// also supplies the transient build buffers — tree-neighbor list, edge
+// list, labels, the tree-edge skip set and the solver's DFS state — while
+// the returned *localGraph always owns its maps, node list and blocks: it
+// is the artifact the ClusterCache retains, so nothing in it may alias the
+// scratch.
 func (o *Oracle) buildLocal(m *asym.Meter, sym *asym.SymTracker, sc *Scratch, ci int32) *localGraph {
-	d := o.D
-	s := d.Center(m, int(ci))
-	members := d.ClusterS(m, sym, sc.dscratch(), s)
-	if sc != nil {
-		// NeighborCentersS below reuses the scratch's cluster buffers, so
-		// keep a private copy of the member list for the later passes.
-		sc.members = append(sc.members[:0], members...)
-		members = sc.members
+	if sc == nil {
+		sc = NewScratch()
 	}
+	d, dsc := o.D, sc.dsc
+	s := d.Center(m, int(ci))
+	nbrs := d.NeighborCentersS(m, sym, dsc, s)
+	members, listed := dsc.Listing()
 	lg := &localGraph{
 		idOf:   make(map[int32]int32, 2*len(members)),
-		inside: make(map[int32]bool, len(members)),
 		voEdge: map[int32]int32{},
 	}
 	addNode := func(v int32) int32 {
@@ -85,19 +86,17 @@ func (o *Oracle) buildLocal(m *asym.Meter, sym *asym.SymTracker, sc *Scratch, ci
 		return id
 	}
 	for _, v := range members {
-		lg.inside[v] = true
 		addNode(v)
 	}
+	// The local graph's own words, plus the listing's ρ record, which
+	// every pass below reads after NeighborCentersS has returned.
 	if sym != nil {
-		sym.Acquire(4 * len(members))
-		defer sym.Release(4 * len(members))
+		sym.Acquire(4*len(members) + listed)
+		defer sym.Release(4*len(members) + listed)
 	}
 
 	// Tree neighbors: the parent edge plus one edge per child cluster.
-	var tns []treeNbr
-	if sc != nil {
-		tns = sc.tns[:0]
-	}
+	tns := sc.tns[:0]
 	if o.parentCluster[ci] != ci {
 		// The grouping label of a tree edge is the BC label of its lower
 		// endpoint (§5.2), so the parent edge (P, C) carries l(C) — two
@@ -110,8 +109,8 @@ func (o *Oracle) buildLocal(m *asym.Meter, sym *asym.SymTracker, sc *Scratch, ci
 		m.Read(3)
 	}
 	// Children are found among neighbor clusters.
-	for _, e := range o.D.NeighborCentersS(m, sym, sc.dscratch(), s) {
-		cj := int32(o.D.CenterIndex(m, e.Other))
+	for _, e := range nbrs {
+		cj := int32(d.CenterIndex(m, e.Other))
 		m.Read(1)
 		if o.parentCluster[cj] == ci {
 			tns = append(tns, treeNbr{
@@ -122,22 +121,16 @@ func (o *Oracle) buildLocal(m *asym.Meter, sym *asym.SymTracker, sc *Scratch, ci
 		}
 	}
 
-	var edges [][2]int32
-	if sc != nil {
-		edges = sc.edges[:0]
-	}
+	edges := sc.edges[:0]
 	addEdge := func(a, b int32) { edges = append(edges, [2]int32{addNode(a), addNode(b)}) }
 
-	// Category 1a: intra-cluster edges.
+	// Category 1a: intra-cluster edges, each once; self-loops dropped.
 	vw := graph.View{G: o.g, M: m}
 	for _, v := range members {
 		deg := vw.Degree(int(v))
 		for i := 0; i < deg; i++ {
-			u := vw.Neighbor(int(v), i)
-			if lg.inside[u] && u >= v { // each once; self-loops dropped by Ref
-				if u != v {
-					addEdge(v, u)
-				}
+			if u := vw.Neighbor(int(v), i); u > v && dsc.ListedRho(u) == s {
+				addEdge(v, u)
 			}
 		}
 	}
@@ -149,13 +142,10 @@ func (o *Oracle) buildLocal(m *asym.Meter, sym *asym.SymTracker, sc *Scratch, ci
 	}
 	// Category 2: chain same-labeled tree neighbors' outside vertices.
 	// Labels are processed in sorted order — not Go's random map order — so
-	// the local edge list (and with it the Ref's BCC numbering) is a
+	// the local edge list (and with it the block numbering) is a
 	// deterministic function of the snapshot, which is what lets the cache
 	// equivalence tests compare cached and fresh builds by equality.
-	var labels []int32
-	if sc != nil {
-		labels = sc.labels[:0]
-	}
+	labels := sc.labels[:0]
 	for _, tn := range tns {
 		if !slices.Contains(labels, tn.labelC) { // |tns| is O(k); linear dedup
 			labels = append(labels, tn.labelC)
@@ -176,29 +166,26 @@ func (o *Oracle) buildLocal(m *asym.Meter, sym *asym.SymTracker, sc *Scratch, ci
 	}
 	// Category 3: boundary edges (v1 in C, v2 outside, not a tree edge)
 	// re-attach to the Vo node whose cluster subtree contains cluster(v2).
-	// The witness set is prebuilt once — the Category 3 loop probes it per
-	// boundary edge, so a linear scan over tns there would be O(k·|tns|).
-	var witness map[[2]int32]bool
-	if sc != nil {
-		clear(sc.witness)
-		witness = sc.witness
-	} else {
-		witness = make(map[[2]int32]bool, len(tns))
-	}
+	// Category 1b added one copy of each tree edge, and every copy of one
+	// is skipped here. The tree edges are kept as sorted keys, so the check
+	// per boundary edge is a binary search rather than a scan of tns.
+	tree := sc.tree[:0]
 	for _, tn := range tns {
-		witness[[2]int32{tn.inV, tn.outV}] = true
+		tree = append(tree, edgeKey(tn.inV, tn.outV))
 	}
+	slices.Sort(tree)
 	for _, v := range members {
 		deg := vw.Degree(int(v))
 		for i := 0; i < deg; i++ {
 			u := vw.Neighbor(int(v), i)
-			if lg.inside[u] {
+			t := dsc.ListedRho(u)
+			if t == s {
 				continue
 			}
-			if witness[[2]int32{v, u}] {
-				continue // category 1b already added it
+			if _, isTree := slices.BinarySearch(tree, edgeKey(v, u)); isTree {
+				continue
 			}
-			cu := o.clusterOfS(m, sym, sc.dscratch(), u)
+			cu := int32(d.CenterIndex(m, t))
 			vo := int32(-1)
 			for _, tn := range tns {
 				if tn.isPar {
@@ -220,17 +207,16 @@ func (o *Oracle) buildLocal(m *asym.Meter, sym *asym.SymTracker, sc *Scratch, ci
 			addEdge(v, vo)
 		}
 	}
-	lg.ref = NewRef(graph.FromEdges(len(lg.nodes), edges)) // FromEdges copies edges: lg never aliases the scratch
+	lg.blocks = solveBlocks(&sc.bs, len(lg.nodes), edges)
 	m.Op(len(lg.nodes) + len(edges))
-	if sc != nil {
-		sc.tns, sc.edges, sc.labels = tns, edges, labels
-	}
+	sc.tns, sc.tree, sc.edges, sc.labels = tns, tree, edges, labels
 	return lg
 }
 
 // smallComponent answers queries inside a primary-free small component by
-// materializing it (it has fewer than k vertices) in symmetric memory.
-func (o *Oracle) smallComponent(m *asym.Meter, sym *asym.SymTracker, v int32) (*Ref, map[int32]int32) {
+// materializing it (it has fewer than k vertices) in symmetric memory. sc
+// lends the solver's DFS state (nil allocates it for the call).
+func (o *Oracle) smallComponent(m *asym.Meter, sym *asym.SymTracker, sc *Scratch, v int32) (blocks, map[int32]int32) {
 	idOf := map[int32]int32{v: 0}
 	nodes := []int32{v}
 	var edges [][2]int32
@@ -253,7 +239,7 @@ func (o *Oracle) smallComponent(m *asym.Meter, sym *asym.SymTracker, v int32) (*
 		sym.Acquire(2 * len(nodes))
 		defer sym.Release(2 * len(nodes))
 	}
-	return NewRef(graph.FromEdges(len(nodes), edges)), idOf
+	return solveBlocks(sc.bscratch(), len(nodes), edges), idOf
 }
 
 // IsBridge reports whether edge {u,v} is a bridge of G. Three cases (§5.3):
@@ -274,12 +260,12 @@ func (o *Oracle) IsBridgeS(m *asym.Meter, sym *asym.SymTracker, sc *Scratch, cc 
 		if cu != cv {
 			return false
 		}
-		ref, id := o.smallComponent(m, sym, u)
-		return ref.IsBridge(id[u], id[v])
+		b, id := o.smallComponent(m, sym, sc, u)
+		return b.isBridge(id[u], id[v])
 	}
 	if cu == cv {
 		lg := o.localS(m, sym, sc, cc, cu)
-		return lg.ref.IsBridge(lg.idOf[u], lg.idOf[v])
+		return lg.isBridge(lg.idOf[u], lg.idOf[v])
 	}
 	// Tree edge between adjacent clusters?
 	child := int32(-1)
@@ -310,11 +296,11 @@ func (o *Oracle) IsArticulation(m *asym.Meter, sym *asym.SymTracker, v int32) bo
 func (o *Oracle) IsArticulationS(m *asym.Meter, sym *asym.SymTracker, sc *Scratch, cc *ClusterCache, v int32) bool {
 	ci := o.clusterOfS(m, sym, sc.dscratch(), v)
 	if ci < 0 {
-		ref, id := o.smallComponent(m, sym, v)
-		return ref.IsArticulation[id[v]]
+		b, id := o.smallComponent(m, sym, sc, v)
+		return b.cut[id[v]]
 	}
 	lg := o.localS(m, sym, sc, cc, ci)
-	return lg.ref.IsArticulation[lg.idOf[v]]
+	return lg.cut[lg.idOf[v]]
 }
 
 // pathCheck runs the shared machinery of the pairwise queries: it verifies
@@ -396,18 +382,18 @@ func (o *Oracle) BiconnectedS(m *asym.Meter, sym *asym.SymTracker, sc *Scratch, 
 		if c1 != c2 {
 			return false
 		}
-		ref, id := o.smallComponent(m, sym, v1)
+		b, id := o.smallComponent(m, sym, sc, v1)
 		if _, ok := id[v2]; !ok {
 			return false
 		}
-		return ref.SameBCC(id[v1], id[v2])
+		return b.sameBCC(id[v1], id[v2])
 	}
 	return o.pathCheck(m, sym, sc, cc, v1, v2, c1, c2, o.deepBlockV,
 		func(lg *localGraph, a, b int32) bool {
 			if a == b {
 				return true
 			}
-			return lg.ref.SameBCC(a, b)
+			return lg.sameBCC(a, b)
 		})
 }
 
@@ -432,18 +418,18 @@ func (o *Oracle) OneEdgeConnectedS(m *asym.Meter, sym *asym.SymTracker, sc *Scra
 		if c1 != c2 {
 			return false
 		}
-		ref, id := o.smallComponent(m, sym, v1)
+		b, id := o.smallComponent(m, sym, sc, v1)
 		if _, ok := id[v2]; !ok {
 			return false
 		}
-		return ref.TwoEdgeCC[id[v1]] == ref.TwoEdgeCC[id[v2]]
+		return b.twoEdge[id[v1]] == b.twoEdge[id[v2]]
 	}
 	return o.pathCheck(m, sym, sc, cc, v1, v2, c1, c2, o.deepBlockE,
 		func(lg *localGraph, a, b int32) bool {
 			if a == b {
 				return true
 			}
-			return lg.ref.TwoEdgeCC[a] == lg.ref.TwoEdgeCC[b]
+			return lg.twoEdge[a] == lg.twoEdge[b]
 		})
 }
 
@@ -466,8 +452,8 @@ func (o *Oracle) EdgeBCCLabel(m *asym.Meter, sym *asym.SymTracker, u, v int32) i
 		// Small components have no stored offsets; label by the component's
 		// local BCC id offset by the implicit center (unique per component,
 		// disjoint from stored labels by sign trick: use negative space).
-		ref, id := o.smallComponent(m, sym, u)
-		lab := ref.EdgeLabel(id[u], id[v])
+		b, id := o.smallComponent(m, sym, nil, u)
+		lab := b.edgeLabel(id[u], id[v])
 		if lab < 0 {
 			return -1
 		}
@@ -475,7 +461,7 @@ func (o *Oracle) EdgeBCCLabel(m *asym.Meter, sym *asym.SymTracker, u, v int32) i
 	}
 	if cu == cv {
 		lg := o.local(m, sym, cu)
-		return o.globalize(m, lg, cu, lg.ref.EdgeLabel(lg.idOf[u], lg.idOf[v]))
+		return o.globalize(m, lg, cu, lg.edgeLabel(lg.idOf[u], lg.idOf[v]))
 	}
 	// Tree edge?
 	for _, cand := range [][3]int32{{cu, u, v}, {cv, v, u}} {
@@ -490,13 +476,13 @@ func (o *Oracle) EdgeBCCLabel(m *asym.Meter, sym *asym.SymTracker, u, v int32) i
 	// The replaced edge's Vo endpoint: find it by scanning u's incident
 	// local edges for a Vo neighbor whose subtree holds cv.
 	uid := lg.idOf[u]
-	for _, w := range lg.ref.G.Adj(int(uid)) { //wec:unmetered cluster-local graph lives in small memory; its scans are free in the model
+	for _, w := range lg.neighbors(uid) { // the local graph lives in symmetric memory: free to scan
 		if child, ok := lg.voEdge[w]; ok {
 			m.Read(1)
 			inSubtree := o.ctree.IsAncestor(m, child, cv)
 			onParentSide := child == cu && !o.ctree.IsAncestor(m, cu, cv)
 			if (child != cu && inSubtree) || onParentSide {
-				return o.globalize(m, lg, cu, lg.ref.EdgeLabel(uid, w))
+				return o.globalize(m, lg, cu, lg.edgeLabel(uid, w))
 			}
 		}
 	}
@@ -513,7 +499,7 @@ func (o *Oracle) globalize(m *asym.Meter, lg *localGraph, ci int32, localBCC int
 	// Spanning: does this local BCC contain a Vo node?
 	voBCC := map[int32]int32{} // local BCC -> tree-edge key
 	for voID, child := range lg.voEdge {
-		for _, b := range lg.ref.VertexBCCs[voID] {
+		for _, b := range lg.vertexBlocks(voID) {
 			voBCC[b] = child
 		}
 	}
@@ -521,8 +507,8 @@ func (o *Oracle) globalize(m *asym.Meter, lg *localGraph, ci int32, localBCC int
 		m.Read(1)
 		return o.spanBCC[child]
 	}
-	// Internal: rank among internal BCC ids (deterministic: Ref numbers
-	// BCCs in DFS pop order).
+	// Internal: rank among internal BCC ids (deterministic: the solver
+	// numbers blocks in DFS pop order).
 	rank := int32(0)
 	for b := int32(0); b < localBCC; b++ {
 		if _, spanning := voBCC[b]; !spanning {

@@ -1,7 +1,9 @@
 // Package bicc implements the paper's §5 biconnectivity suite:
 //
-//   - Ref (this file): an unmetered Hopcroft–Tarjan DFS used as ground
-//     truth by every test.
+//   - Ref (this file): an unmetered Hopcroft–Tarjan DFS, the ground truth
+//     of every test and of perfbench's answer verification. It is for
+//     tests and verification only: no oracle code calls it, and the
+//     oracle's own block solver (blocks.go) is checked against it.
 //   - BC labeling (bc.go): the paper's O(n)-word biconnectivity output
 //     (Definition 3, Lemma 5.1) built from Euler-tour low/high values and a
 //     connectivity pass over the non-critical edges, with O(1) queries for
@@ -28,7 +30,9 @@ type Ref struct {
 	// TwoEdgeCC[v] is v's 2-edge-connected component label (component of
 	// the graph after deleting bridges; canonical: min vertex id).
 	TwoEdgeCC []int32
-	// VertexBCCs[v] lists the BCC ids v belongs to (sorted).
+	// VertexBCCs[v] lists the BCC ids v belongs to, in order of first
+	// appearance along v's edges in edge order (not sorted; callers treat
+	// it as a set).
 	VertexBCCs [][]int32
 	NumBCC     int
 

@@ -14,8 +14,9 @@ type treeNbr struct {
 }
 
 // Scratch is a reusable symmetric-memory workspace for the biconnectivity
-// query path: the decomposition-search scratch plus the local-graph build
-// buffers of buildLocal. A serving worker allocates one Scratch and
+// query path: the decomposition-search scratch (whose cluster listing
+// buildLocal reads back), the local-graph build buffers of buildLocal and
+// the block solver's DFS state. A serving worker allocates one Scratch and
 // threads it through every query it answers, and BuildOracle uses one for
 // its whole build; nil everywhere means "allocate per call", the
 // paper-pristine original behavior kept by the reference/equivalence
@@ -27,20 +28,17 @@ type treeNbr struct {
 // not change charged costs: meters see exactly the reads/ops a
 // scratch-less query charges.
 type Scratch struct {
-	dsc     *decomp.Scratch
-	members []int32
-	tns     []treeNbr
-	edges   [][2]int32
-	labels  []int32
-	witness map[[2]int32]bool
+	dsc    *decomp.Scratch
+	tns    []treeNbr
+	tree   []uint64 // the tree edges as sorted edgeKey(inV, outV)
+	edges  [][2]int32
+	labels []int32
+	bs     blockScratch
 }
 
 // NewScratch returns an empty reusable biconnectivity query workspace.
 func NewScratch() *Scratch {
-	return &Scratch{
-		dsc:     decomp.NewScratch(),
-		witness: make(map[[2]int32]bool, 16),
-	}
+	return &Scratch{dsc: decomp.NewScratch()}
 }
 
 // dscratch returns the embedded decomposition-search scratch, nil-safe so
@@ -52,4 +50,15 @@ func (sc *Scratch) dscratch() *decomp.Scratch {
 		return nil
 	}
 	return sc.dsc
+}
+
+// bscratch returns the embedded block-solver state, nil-safe like
+// dscratch.
+//
+//wec:noalloc
+func (sc *Scratch) bscratch() *blockScratch {
+	if sc == nil {
+		return nil
+	}
+	return &sc.bs
 }

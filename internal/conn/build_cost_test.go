@@ -22,8 +22,8 @@ func TestBuildCostsPinned(t *testing.T) {
 		g            *graph.Graph
 		build, visit cost
 	}{
-		{"random-regular", graph.RandomRegular(8192, 3, 42), cost{2755176, 55693, 840975, 168}, cost{1120080, 0, 349948, 1678}},
-		{"grid", graph.Grid2D(40, 40), cost{597449, 11071, 172632, 102}, cost{236322, 0, 70383, 409}},
+		{"random-regular", graph.RandomRegular(8192, 3, 42), cost{2148241, 55693, 632288, 168}, cost{806497, 0, 242114, 1678}},
+		{"grid", graph.Grid2D(40, 40), cost{446705, 11071, 123180, 102}, cost{160887, 0, 45635, 409}},
 		{"disconnected-cycles", graph.Disconnected(graph.Cycle(5), 3), cost{731, 87, 158, 15}, cost{376, 0, 122, 17}},
 	}
 	check := func(t *testing.T, phase string, m *asym.Meter, sym *asym.SymTracker, want cost) {

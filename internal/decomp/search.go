@@ -36,17 +36,17 @@ type Scratch struct {
 	// Cluster/NeighborCenters workspaces (ClusterS, NeighborCentersS).
 	// Disjoint from the search fields above, so a cluster listing can call
 	// RhoS on the same scratch while its own buffers stay live. Every
-	// vertex set is a generation-stamped vertexTable, emptied in O(1) per
-	// call however large an earlier call grew it, and allocated on first
-	// use: connectivity workers share the Scratch type but never run
-	// cluster listings.
+	// vertex table is generation-stamped, emptied in O(1) per call however
+	// large an earlier call grew it, and allocated on first use:
+	// connectivity workers share the Scratch type but never run cluster
+	// listings. cOut and cSeen hold the last listing until the next one
+	// (see Listing and ListedRho).
 	cOut      []int32
 	cFrontier []int32
 	cNext     []int32
-	cSeen     vertexTable
+	cSeen     vertexTable // vertex of N[C] -> its ρ, recorded by the listing
 	ncOut     []CenterEdge
 	ncSeen    vertexTable // neighbor center -> index into ncOut
-	ncIn      vertexTable
 }
 
 // NewScratch returns an empty reusable search workspace.
@@ -348,12 +348,30 @@ func (d *Decomposition) ClusterS(m *asym.Meter, sym *asym.SymTracker, sc *Scratc
 	if sc == nil {
 		sc = NewScratch() //wec:alloc cold path without a scratch; the zero-alloc gate runs warmed
 	}
+	members, held := d.listCluster(m, sym, sc, s)
+	if sym != nil {
+		sym.Release(held)
+	}
+	return members
+}
+
+// listCluster is the cluster listing behind ClusterS and NeighborCentersS:
+// a search from s that expands only vertices with ρ = s. Every vertex it
+// reaches — the members of C(s) and their outside neighbors, the closed
+// neighborhood N[C] — gets exactly one ρ search, and its ρ is recorded in
+// sc.cSeen, one symmetric word per vertex. The listing stays in the
+// scratch (cOut, cSeen) until the next one. The words are acquired as the
+// vertices are reached and still held at return: the caller releases the
+// returned count after its last read of the record.
+//
+//wec:noalloc
+func (d *Decomposition) listCluster(m *asym.Meter, sym *asym.SymTracker, sc *Scratch, s int32) ([]int32, int) {
 	out := sc.cOut[:0]
 	frontier := append(sc.cFrontier[:0], s) //wec:alloc amortized scratch growth; steady state stays within capacity
 	next := sc.cNext[:0]
 	seen := &sc.cSeen
 	seen.reset()
-	seen.put(s, 0)
+	seen.put(s, -1) // ρ not yet searched
 	acquired := 0
 	if sym != nil {
 		sym.Acquire(1)
@@ -363,7 +381,9 @@ func (d *Decomposition) ClusterS(m *asym.Meter, sym *asym.SymTracker, sc *Scratc
 	for len(frontier) > 0 {
 		next = next[:0]
 		for _, x := range frontier {
-			if d.RhoS(m, sym, sc, x) != s {
+			r := d.RhoS(m, sym, sc, x)
+			seen.put(x, r)
+			if r != s {
 				continue
 			}
 			out = append(out, x) //wec:alloc amortized scratch growth; steady state stays within capacity
@@ -371,7 +391,7 @@ func (d *Decomposition) ClusterS(m *asym.Meter, sym *asym.SymTracker, sc *Scratc
 			for i := 0; i < deg; i++ {
 				u := vw.Neighbor(int(x), i)
 				if _, ok := seen.get(u); !ok {
-					seen.put(u, 0)
+					seen.put(u, -1)
 					if sym != nil {
 						sym.Acquire(1)
 						acquired++
@@ -382,11 +402,32 @@ func (d *Decomposition) ClusterS(m *asym.Meter, sym *asym.SymTracker, sc *Scratc
 		}
 		frontier, next = next, frontier
 	}
-	if sym != nil {
-		sym.Release(acquired)
-	}
 	sc.cOut, sc.cFrontier, sc.cNext = out, frontier, next
-	return out
+	return out, acquired
+}
+
+// Listing returns the last cluster listing run on sc (by ClusterS or
+// NeighborCentersS): the members of the cluster in search order, borrowed
+// from the scratch like ClusterS's result, and the number of vertices of
+// N[C] whose ρ it recorded (see ListedRho).
+func (sc *Scratch) Listing() (members []int32, listed int) {
+	return sc.cOut, sc.cSeen.n
+}
+
+// ListedRho returns ρ(u) as recorded by the last cluster listing on sc, or
+// -1 if that listing did not reach u. The listing records every vertex of
+// N[C], so a member's neighbor u is inside the cluster exactly when its
+// ρ is the center. The record lives in symmetric memory, one word per
+// listed vertex: reading it charges the meter nothing, and a caller that
+// reads it after the listing call has returned holds those words (the
+// listed count of Listing) on its tracker while it does.
+//
+//wec:noalloc
+func (sc *Scratch) ListedRho(u int32) int32 {
+	if r, ok := sc.cSeen.get(u); ok {
+		return r
+	}
+	return -1
 }
 
 // NeighborCenters lists the centers adjacent to s in the clusters graph
@@ -406,23 +447,20 @@ func (d *Decomposition) NeighborCenters(m *asym.Meter, sym *asym.SymTracker, s i
 
 // NeighborCentersS is NeighborCenters with a caller-provided reusable
 // scratch (nil allocates one for the call). It runs the cluster listing
-// itself; the returned slice — and the members slice of the inner ClusterS
-// call — are borrowed from the scratch and only valid until its next use.
+// itself and reads each boundary neighbor's ρ from the listing's record,
+// so the whole call is one listing plus one scan of the members'
+// adjacency. The returned slice and the listing (Listing, ListedRho) are
+// borrowed from the scratch and only valid until its next use. The
+// listing's symmetric words stay held until return.
 //
 //wec:noalloc
 func (d *Decomposition) NeighborCentersS(m *asym.Meter, sym *asym.SymTracker, sc *Scratch, s int32) []CenterEdge {
 	if sc == nil {
 		sc = NewScratch() //wec:alloc cold path without a scratch; the zero-alloc gate runs warmed
 	}
-	members := d.ClusterS(m, sym, sc, s)
-	inCluster := &sc.ncIn
-	inCluster.reset()
-	for _, v := range members {
-		inCluster.put(v, 0)
-	}
+	members, held := d.listCluster(m, sym, sc, s)
 	if sym != nil {
-		sym.Acquire(len(members))
-		defer sym.Release(len(members))
+		defer sym.Release(held)
 	}
 	out := sc.ncOut[:0]
 	seen := &sc.ncSeen // neighbor center -> index into out
@@ -432,10 +470,7 @@ func (d *Decomposition) NeighborCentersS(m *asym.Meter, sym *asym.SymTracker, sc
 		deg := vw.Degree(int(v))
 		for i := 0; i < deg; i++ {
 			u := vw.Neighbor(int(v), i)
-			if _, in := inCluster.get(u); in {
-				continue
-			}
-			t := d.RhoS(m, sym, sc, u)
+			t := sc.ListedRho(u) // u neighbors a member, so the listing recorded it
 			if t == s {
 				continue
 			}

@@ -129,7 +129,7 @@ func TestWarmScratchZeroAlloc(t *testing.T) {
 		t.Fatalf("warm scratch: %v allocs per run, want 0", a)
 	}
 	wrapped := func() {
-		for _, tab := range [...]*vertexTable{&sc.parent, &sc.cSeen, &sc.ncIn, &sc.ncSeen} {
+		for _, tab := range [...]*vertexTable{&sc.parent, &sc.cSeen, &sc.ncSeen} {
 			tab.gen = math.MaxUint32 // the next reset wraps
 		}
 		queries()
@@ -162,5 +162,70 @@ func (p costProbe) check(t *testing.T, want costProbe, what string, gi, k int, x
 		t.Fatalf("graph %d k=%d %s(%d): reused scratch charges r=%d w=%d o=%d sym=%d, per-call state r=%d w=%d o=%d sym=%d",
 			gi, k, what, x, p.m.Reads(), p.m.Writes(), p.m.Ops(), p.sym.HighWater(),
 			want.m.Reads(), want.m.Writes(), want.m.Ops(), want.sym.HighWater())
+	}
+}
+
+// TestNeighborCentersIsOneListing pins the cost of a clusters-graph
+// neighbor listing: on fresh meters, NeighborCentersS charges exactly what
+// ClusterS charges plus one scan of the members' adjacency (a degree read
+// and one read per slot), with no ρ search of its own, and reaches the same
+// symmetric high-water. The boundary neighbors' ρ come from the listing's
+// record, which is checked against Rho on every vertex of N[C].
+func TestNeighborCentersIsOneListing(t *testing.T) {
+	graphs := []*graph.Graph{
+		graph.Cycle(64),
+		graph.Grid2D(12, 12),
+		graph.RandomRegular(150, 3, 3),
+		graph.Lollipop(20, 30),
+		graph.Disconnected(graph.Cycle(5), 3),
+		graph.BoundDegree(graph.PowerLaw(400, 4, 9), 3).G,
+	}
+	for gi, g := range graphs {
+		for _, k := range []int{2, 8} {
+			d, _, _ := build(g, k, 7, Options{})
+			sc := NewScratch()
+			for ci := 0; ci < d.NumCenters(); ci++ {
+				s := d.Center(asym.NewMeter(1), ci)
+				list, nbrs := newProbe(), newProbe()
+				members := d.ClusterS(list.m, list.sym, NewScratch(), s)
+				scan := int64(0)
+				for _, v := range members {
+					scan += 1 + int64(g.Degree(int(v)))
+				}
+				d.NeighborCentersS(nbrs.m, nbrs.sym, sc, s)
+				if nbrs.m.Reads() != list.m.Reads()+scan || nbrs.m.Ops() != list.m.Ops() || nbrs.m.Writes() != 0 {
+					t.Fatalf("graph %d k=%d center %d: NeighborCentersS charged r=%d o=%d w=%d, want listing r=%d + scan %d, o=%d, w=0",
+						gi, k, s, nbrs.m.Reads(), nbrs.m.Ops(), nbrs.m.Writes(), list.m.Reads(), scan, list.m.Ops())
+				}
+				if nbrs.sym.HighWater() != list.sym.HighWater() {
+					t.Fatalf("graph %d k=%d center %d: NeighborCentersS symmetric high-water %d, listing %d",
+						gi, k, s, nbrs.sym.HighWater(), list.sym.HighWater())
+				}
+				got, listed := sc.Listing()
+				if !slices.Equal(got, members) {
+					t.Fatalf("graph %d k=%d center %d: Listing members %v, ClusterS %v", gi, k, s, got, members)
+				}
+				closed := map[int32]bool{}
+				for _, v := range members {
+					closed[v] = true
+					for _, u := range g.Adj(int(v)) {
+						closed[u] = true
+					}
+				}
+				if len(members) > 0 && listed != len(closed) {
+					t.Fatalf("graph %d k=%d center %d: listing recorded %d vertices, |N[C]| = %d", gi, k, s, listed, len(closed))
+				}
+				qm := asym.NewMeter(1)
+				for u := int32(0); int(u) < g.N(); u++ {
+					want := int32(-1)
+					if closed[u] {
+						want = d.Rho(qm, nil, u)
+					}
+					if got := sc.ListedRho(u); got != want {
+						t.Fatalf("graph %d k=%d center %d: ListedRho(%d) = %d, want %d", gi, k, s, u, got, want)
+					}
+				}
+			}
+		}
 	}
 }

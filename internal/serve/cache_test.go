@@ -194,3 +194,72 @@ func TestResultCacheEpochInvalidation(t *testing.T) {
 		t.Fatalf("cluster-cache telemetry lost across swap: %+v", cc)
 	}
 }
+
+// BenchmarkResultCache times the result table's two operations on their
+// own: a get that hits, a get that misses (empty slot or another epoch),
+// a put, and gets and puts from every P at once (a 7:1 mix, the stripes'
+// contention case). The 4096 keys are half the table, so the working set
+// stays resident and most hits find their own slot.
+func BenchmarkResultCache(b *testing.B) {
+	const nkeys = 4096
+	keys := make([]rcKey, nkeys)
+	rng := graph.NewRNG(1)
+	for i := range keys {
+		keys[i] = rcKey{agg: int32(i % 6), u: int32(rng.Intn(1 << 16)), v: int32(rng.Intn(1 << 16))}
+	}
+	val := rcVal{av: oracle.AnswerVal{IsBool: true, Bool: true}, cost: asym.Cost{Reads: 900, Ops: 300}, peak: 64}
+	filled := func() *resultCache {
+		c := newResultCache()
+		for _, k := range keys {
+			c.put(1, k, val)
+		}
+		return c
+	}
+	b.Run("get-hit", func(b *testing.B) {
+		c := filled()
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			v, _ := c.get(1, keys[i%nkeys])
+			benchRC += v.peak
+		}
+	})
+	b.Run("get-miss", func(b *testing.B) {
+		c := filled()
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			v, _ := c.get(2, keys[i%nkeys])
+			benchRC += v.peak
+		}
+	})
+	b.Run("put", func(b *testing.B) {
+		c := newResultCache()
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if c.put(int64(1+i/nkeys), keys[i%nkeys], val) {
+				benchRC++
+			}
+		}
+	})
+	b.Run("mixed-parallel", func(b *testing.B) {
+		c := filled()
+		b.ReportAllocs()
+		b.ResetTimer()
+		b.RunParallel(func(pb *testing.PB) {
+			i := 0
+			for pb.Next() {
+				k := keys[i%nkeys]
+				if i%8 == 7 {
+					c.put(1, k, val)
+				} else {
+					c.get(1, k)
+				}
+				i++
+			}
+		})
+	})
+}
+
+var benchRC int64
