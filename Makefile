@@ -24,9 +24,12 @@ build:
 test:
 	$(GO) test ./...
 
+# The second line repeats the engine's ordering tests and the parallel
+# bicc build's determinism test (its 130k-vertex powerlaw case runs once,
+# in the first line: twenty race-built runs of it would take minutes).
 race:
 	$(GO) test -race $(RACE_PKGS)
-	$(GO) test -race -count=20 -run '^(TestEngineWALBeforeStage|TestLazySingleFlight)$$' ./internal/serve/
+	$(GO) test -race -count=20 -run '^(TestEngineWALBeforeStage|TestLazySingleFlight|TestBuildOracleParallelDeterministic)$$/^(uniform|small-components|no-centers)$$' ./internal/serve/ ./internal/bicc/
 
 # Every paper-table benchmark executes once (smoke); use
 # `go test -bench . -benchtime 3s .` for real measurements.

@@ -5,6 +5,7 @@ import (
 	"sync"
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
 
 func TestMeterWork(t *testing.T) {
@@ -103,6 +104,14 @@ func TestMeterMergeConcurrent(t *testing.T) {
 	wg.Wait()
 	if agg.Reads() != 7*gor || agg.Writes() != 3*gor {
 		t.Fatalf("concurrent merge lost updates: %v", agg.Snapshot())
+	}
+}
+
+// TestMeterPadded guards the padding that keeps per-processor meters off
+// each other's cache lines: a Meter spans whole 64-byte lines.
+func TestMeterPadded(t *testing.T) {
+	if sz := unsafe.Sizeof(Meter{}); sz%64 != 0 {
+		t.Fatalf("unsafe.Sizeof(Meter{}) = %d, not a multiple of 64", sz)
 	}
 }
 
@@ -288,6 +297,24 @@ func TestSymTrackerConcurrent(t *testing.T) {
 	wg.Wait()
 	if s.Current() != 0 {
 		t.Fatalf("Current = %d, want 0", s.Current())
+	}
+}
+
+// TestSymTrackerFold checks that a folded per-processor peak lifts the
+// high-water by max on top of the current level, exactly as acquiring and
+// releasing those words on the tracker itself would.
+func TestSymTrackerFold(t *testing.T) {
+	s := NewSymTracker(0)
+	s.Acquire(10)
+	s.Fold(30)
+	s.Fold(20)
+	if s.HighWater() != 40 || s.Current() != 10 {
+		t.Fatalf("after folds 30, 20 at level 10: high=%d cur=%d, want 40, 10", s.HighWater(), s.Current())
+	}
+	s.Release(10)
+	s.Fold(35)
+	if s.HighWater() != 40 {
+		t.Fatalf("a fold below the high-water moved it: %d", s.HighWater())
 	}
 }
 

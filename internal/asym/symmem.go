@@ -47,6 +47,21 @@ func (t *SymTracker) Release(n int) {
 	}
 }
 
+// Fold records that a computation charged to another tracker peaked at
+// peak words while t held its current words: t's high-water becomes at
+// least current + peak, and its current level does not move. In the
+// Asymmetric NP model every processor owns its symmetric memory, so a pass
+// split across processors folds each processor's peak in by max, never by
+// sum; a pass run on one processor reaches the same high-water as with
+// per-task acquires on t itself. Safe for concurrent use.
+func (t *SymTracker) Fold(peak int64) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if t.cur+peak > t.high {
+		t.high = t.cur + peak
+	}
+}
+
 // HighWater returns the maximum simultaneous words acquired.
 func (t *SymTracker) HighWater() int64 {
 	t.mu.Lock()

@@ -165,9 +165,9 @@ func (c *ClusterCache) moveToFront(e *ccEntry) {
 //   - Symmetric memory: every Acquire inside a local-graph build is
 //     released before buildLocal returns, so a direct call raises the
 //     caller's tracker from its current level L to at most L + peak and
-//     back to L. The replay pulse — Acquire(peak) immediately followed by
-//     Release(peak) — produces the same maximum and the same final level,
-//     so high-water marks match the uncached path exactly.
+//     back to L. Folding the recorded peak in (SymTracker.Fold) produces
+//     the same maximum and the same final level, so high-water marks
+//     match the uncached path exactly.
 //
 //wec:noalloc
 func (o *Oracle) localS(m *asym.Meter, sym *asym.SymTracker, sc *Scratch, cc *ClusterCache, ci int32) *localGraph {
@@ -176,9 +176,8 @@ func (o *Oracle) localS(m *asym.Meter, sym *asym.SymTracker, sc *Scratch, cc *Cl
 	}
 	if lg, cost, peak, ok := cc.get(ci); ok {
 		m.Merge(cost)
-		if sym != nil && peak > 0 {
-			sym.Acquire(peak)
-			sym.Release(peak)
+		if sym != nil {
+			sym.Fold(int64(peak))
 		}
 		return lg
 	}
@@ -189,9 +188,8 @@ func (o *Oracle) localS(m *asym.Meter, sym *asym.SymTracker, sc *Scratch, cc *Cl
 	peak := int(fs.HighWater())
 	lg = cc.put(ci, lg, cost, peak)
 	m.Merge(cost)
-	if sym != nil && peak > 0 {
-		sym.Acquire(peak)
-		sym.Release(peak)
+	if sym != nil {
+		sym.Fold(int64(peak))
 	}
 	return lg
 }

@@ -1,6 +1,9 @@
 package bicc
 
 import (
+	"runtime"
+
+	"repro/internal/asym"
 	"repro/internal/decomp"
 	"repro/internal/eulertour"
 	"repro/internal/graph"
@@ -96,30 +99,33 @@ func BuildOracle(c *parallel.Ctx, vw graph.View, d *decomp.Decomposition, k int,
 	o.deepBlockE = make([]int32, np)
 	o.spanBCC = make([]int32, np)
 	o.internalOffset = make([]int32, np)
+	ws := newBuildWorkers(m.Omega(), c.Sym() != nil)
 	if np == 0 {
+		// No stored center: every component is a small primary-free one.
+		o.NumBCC = o.smallComponentBCCs(c, vw, ws)
 		return o
 	}
 
 	// --- Clusters spanning tree by BFS over the implicit clusters graph.
-	// Every pass below recomputes ρ with a search on each use; one scratch
-	// serves them all, so those searches reuse their buffers.
-	sym := c.Sym()
-	sc := NewScratch()
+	// Every pass below recomputes ρ with a search on each use. The three
+	// per-cluster or per-vertex passes (neighbor listing, local graphs,
+	// small components) are independent across clusters and vertices, so
+	// they run in parallel (Theorem 5.3), one chunk per worker; each
+	// worker's scratch serves all of its searches.
 	for i := range o.parentCluster {
 		o.parentCluster[i] = -1
 		o.rootVertex[i] = -1
 		o.parentAttach[i] = -1
 	}
 	var roots []int32
-	neighborCache := make([][]decomp.CenterEdge, np)
-	nbrs := func(ci int32) []decomp.CenterEdge {
-		if neighborCache[ci] == nil {
-			s := d.Center(m, int(ci))
+	nbrs := make([][]decomp.CenterEdge, np)
+	parallelPass(c, m, ws, np, func(w *buildWorker, lo, hi int) {
+		for ci := lo; ci < hi; ci++ {
+			s := d.Center(w.m, ci)
 			// Copied out: the listing is borrowed from the scratch.
-			neighborCache[ci] = append([]decomp.CenterEdge{}, d.NeighborCentersS(m, sym, sc.dsc, s)...)
+			nbrs[ci] = append([]decomp.CenterEdge(nil), d.NeighborCentersS(w.m, w.sym, w.sc.dsc, s)...)
 		}
-		return neighborCache[ci]
-	}
+	})
 	for s := int32(0); s < int32(np); s++ {
 		if o.parentCluster[s] >= 0 {
 			continue
@@ -130,7 +136,7 @@ func BuildOracle(c *parallel.Ctx, vw graph.View, d *decomp.Decomposition, k int,
 		for len(frontier) > 0 {
 			var next []int32
 			for _, ci := range frontier {
-				for _, e := range nbrs(ci) {
+				for _, e := range nbrs[ci] {
 					cj := int32(d.CenterIndex(m, e.Other))
 					if o.parentCluster[cj] >= 0 {
 						continue
@@ -176,7 +182,7 @@ func BuildOracle(c *parallel.Ctx, vw graph.View, d *decomp.Decomposition, k int,
 	for ci := int32(0); ci < int32(np); ci++ {
 		f := int64(o.ctree.First(m, ci))
 		wmin[ci], wmax[ci] = f, f
-		for _, e := range nbrs(ci) {
+		for _, e := range nbrs[ci] {
 			cj := int32(d.CenterIndex(m, e.Other))
 			// A tree edge with multiplicity 1 is excluded; everything
 			// else (non-tree, or extra parallel copies) contributes.
@@ -222,7 +228,7 @@ func BuildOracle(c *parallel.Ctx, vw graph.View, d *decomp.Decomposition, k int,
 	// Components of the clusters graph minus critical tree edges.
 	cuf := newRefUF(np)
 	for ci := int32(0); ci < int32(np); ci++ {
-		for _, e := range nbrs(ci) {
+		for _, e := range nbrs[ci] {
 			cj := int32(d.CenterIndex(m, e.Other))
 			if cj < ci {
 				continue
@@ -266,59 +272,75 @@ func BuildOracle(c *parallel.Ctx, vw graph.View, d *decomp.Decomposition, k int,
 	// --- Per-cluster local-graph pass: root-biconnectivity bits for each
 	// tree edge, spanning-BCC unions, and internal BCC counts (Lemma 5.6,
 	// Lemma 5.7). One local graph per cluster: O(k²) each, O(nk) total.
-	huf := newRefUF(np) // H-graph: nodes are tree edges keyed by child cluster
+	// Each chunk writes rbV/rbE only at its own clusters' children and
+	// internalCount only at its own clusters, and collects its
+	// spanning-BCC unions, applied after the pass (the canonical ids are
+	// class minima, so the order of unions does not matter).
 	internalCount := make([]int32, np)
-	for ci := int32(0); ci < int32(np); ci++ {
-		lg := o.buildLocal(m, sym, sc, ci)
-		// Bits for each child edge D: can one pass from D through ci to
-		// ci's parent side?
-		if o.parentCluster[ci] != ci {
-			exit := lg.idOf[o.parentAttach[ci]]
-			for voID, child := range lg.voEdge {
-				if child == ci {
-					continue // the parent edge itself
+	parallelPass(c, m, ws, np, func(w *buildWorker, lo, hi int) {
+		for ci := int32(lo); ci < int32(hi); ci++ {
+			lg := o.buildLocal(w.m, w.sym, w.sc, ci)
+			members, _ := w.sc.dsc.Listing()
+			w.clustered += len(members)
+			// Bits for each child edge D: can one pass from D through ci
+			// to ci's parent side?
+			if o.parentCluster[ci] != ci {
+				exit := lg.idOf[o.parentAttach[ci]]
+				for voID, child := range lg.voEdge {
+					if child == ci {
+						continue // the parent edge itself
+					}
+					y := voID
+					o.rbV[child] = lg.sameBCC(y, exit)
+					o.rbE[child] = lg.twoEdge[y] == lg.twoEdge[exit]
 				}
-				y := voID
-				o.rbV[child] = lg.sameBCC(y, exit)
-				o.rbE[child] = lg.twoEdge[y] == lg.twoEdge[exit]
-			}
-		} else {
-			// Root cluster: no parent side; mark children passable only
-			// for path checks that terminate here (unused values).
-			for _, child := range lg.voEdge {
-				if child != ci {
-					o.rbV[child] = true
-					o.rbE[child] = true
-				}
-			}
-		}
-		// Spanning-BCC equivalence: tree edges whose Vo nodes share a
-		// local BCC belong to one biconnected component of G.
-		vos := make([]int32, 0, len(lg.voEdge))
-		for voID := range lg.voEdge {
-			vos = append(vos, voID)
-		}
-		for i := 0; i < len(vos); i++ {
-			for j := i + 1; j < len(vos); j++ {
-				if lg.sameBCC(vos[i], vos[j]) {
-					huf.union(lg.voEdge[vos[i]], lg.voEdge[vos[j]])
+			} else {
+				// Root cluster: no parent side; mark children passable
+				// only for path checks that terminate here (unused
+				// values).
+				for _, child := range lg.voEdge {
+					if child != ci {
+						o.rbV[child] = true
+						o.rbE[child] = true
+					}
 				}
 			}
-		}
-		// Internal BCCs: local BCCs containing no Vo node.
-		voBCC := map[int32]bool{}
-		for _, voID := range vos {
-			for _, b := range lg.vertexBlocks(voID) {
-				voBCC[b] = true
+			// Spanning-BCC equivalence: tree edges whose Vo nodes share a
+			// local BCC belong to one biconnected component of G.
+			vos := make([]int32, 0, len(lg.voEdge))
+			for voID := range lg.voEdge {
+				vos = append(vos, voID)
 			}
-		}
-		cnt := int32(0)
-		for b := 0; b < lg.numBCC; b++ {
-			if !voBCC[int32(b)] {
-				cnt++
+			for i := 0; i < len(vos); i++ {
+				for j := i + 1; j < len(vos); j++ {
+					if lg.sameBCC(vos[i], vos[j]) {
+						w.unions = append(w.unions, [2]int32{lg.voEdge[vos[i]], lg.voEdge[vos[j]]})
+					}
+				}
 			}
+			// Internal BCCs: local BCCs containing no Vo node.
+			voBCC := map[int32]bool{}
+			for _, voID := range vos {
+				for _, b := range lg.vertexBlocks(voID) {
+					voBCC[b] = true
+				}
+			}
+			cnt := int32(0)
+			for b := 0; b < lg.numBCC; b++ {
+				if !voBCC[int32(b)] {
+					cnt++
+				}
+			}
+			internalCount[ci] = cnt
 		}
-		internalCount[ci] = cnt
+	})
+	huf := newRefUF(np) // H-graph: nodes are tree edges keyed by child cluster
+	clustered := 0
+	for _, w := range ws {
+		for _, u := range w.unions {
+			huf.union(u[0], u[1])
+		}
+		clustered += w.clustered
 	}
 	// Prefix sums for internal label offsets; spanning ids live above.
 	var off int32
@@ -381,16 +403,82 @@ func BuildOracle(c *parallel.Ctx, vw graph.View, d *decomp.Decomposition, k int,
 
 	// --- Count the biconnected components of small primary-free
 	// components (answered implicitly at query time, but NumBCC should
-	// cover the whole graph). One ρ query per vertex, one materialization
-	// per implicit component: O(nk) expected reads.
-	for v := int32(0); int(v) < vw.G.N(); v++ {
-		s := d.RhoS(m, sym, sc.dsc, v)
-		if d.CenterIndex(m, s) < 0 && s == v {
-			b, _ := o.smallComponent(m, sym, sc, v)
-			o.NumBCC += b.numBCC
-		}
+	// cover the whole graph). The clusters partition exactly the vertices
+	// whose ρ is a stored center, so when the listings above covered all
+	// n vertices there is no such component and the pass is skipped.
+	if clustered < vw.G.N() {
+		o.NumBCC += o.smallComponentBCCs(c, vw, ws)
 	}
 	return o
+}
+
+// smallComponentBCCs counts the biconnected components of the small
+// primary-free components: one ρ query per vertex, in parallel, and one
+// materialization per implicit component. O(nk) expected reads.
+func (o *Oracle) smallComponentBCCs(c *parallel.Ctx, vw graph.View, ws []*buildWorker) int {
+	d := o.D
+	parallelPass(c, vw.M, ws, vw.G.N(), func(w *buildWorker, lo, hi int) {
+		for v := int32(lo); v < int32(hi); v++ {
+			s := d.RhoS(w.m, w.sym, w.sc.dsc, v)
+			if d.CenterIndex(w.m, s) < 0 && s == v {
+				b, _ := o.smallComponent(w.m, w.sym, w.sc, v)
+				w.smallBCCs += b.numBCC
+			}
+		}
+	})
+	n := 0
+	for _, w := range ws {
+		n += w.smallBCCs
+	}
+	return n
+}
+
+// buildWorker is one processor's private state in BuildOracle's parallel
+// passes: its own meter, symmetric-memory tracker (nil when the build
+// tracks none) and scratch, plus what its chunks hand back to the
+// sequential code between passes.
+type buildWorker struct {
+	m         *asym.Meter
+	sym       *asym.SymTracker
+	sc        *Scratch
+	unions    [][2]int32 // spanning-BCC unions of the local-graph pass
+	clustered int        // cluster members listed by the local-graph pass
+	smallBCCs int        // BCCs of the small components this worker found
+}
+
+// newBuildWorkers returns one worker per GOMAXPROCS processor.
+func newBuildWorkers(omega int, trackSym bool) []*buildWorker {
+	ws := make([]*buildWorker, runtime.GOMAXPROCS(0))
+	for i := range ws {
+		ws[i] = &buildWorker{m: asym.NewMeter(omega), sc: NewScratch()}
+		if trackSym {
+			ws[i].sym = asym.NewSymTracker(0)
+		}
+	}
+	return ws
+}
+
+// parallelPass runs body over [0,n) in one contiguous chunk per worker
+// (c.ForEachChunk). A chunk charges only its worker's meter and tracker.
+// When it ends, its costs merge into m (one Merge per chunk) and its
+// symmetric peak folds into c.Sym() by max, since in the Asymmetric NP model
+// each processor owns its symmetric memory. A pass therefore charges
+// exactly what one sequential loop would, whatever the worker count. The
+// bodies record no depth (no pass of BuildOracle ever did), so c's depth
+// grows only by the fork spine over the chunks.
+func parallelPass(c *parallel.Ctx, m *asym.Meter, ws []*buildWorker, n int, body func(w *buildWorker, lo, hi int)) {
+	sym := c.Sym()
+	chunk := (n + len(ws) - 1) / len(ws)
+	c.ForEachChunk(n, chunk, func(_ *parallel.Ctx, lo, hi int) {
+		w := ws[lo/chunk]
+		body(w, lo, hi)
+		m.Merge(w.m.Snapshot())
+		w.m.Reset()
+		if sym != nil {
+			sym.Fold(w.sym.HighWater())
+			w.sym.Reset()
+		}
+	})
 }
 
 func defaultK(omega int) int {

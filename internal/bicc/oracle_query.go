@@ -60,10 +60,10 @@ func (o *Oracle) local(m *asym.Meter, sym *asym.SymTracker, ci int32) *localGrap
 // and records each ρ in the search scratch, and every later membership
 // test and boundary-edge cluster lookup reads that record. The scratch
 // also supplies the transient build buffers — tree-neighbor list, edge
-// list, labels, the tree-edge skip set and the solver's DFS state — while
-// the returned *localGraph always owns its maps, node list and blocks: it
-// is the artifact the ClusterCache retains, so nothing in it may alias the
-// scratch.
+// list, buffered boundary edges, labels, the tree-edge skip set and the
+// solver's DFS state — while the returned *localGraph always owns its
+// maps, node list and blocks: it is the artifact the ClusterCache retains,
+// so nothing in it may alias the scratch.
 func (o *Oracle) buildLocal(m *asym.Meter, sym *asym.SymTracker, sc *Scratch, ci int32) *localGraph {
 	if sc == nil {
 		sc = NewScratch()
@@ -124,14 +124,59 @@ func (o *Oracle) buildLocal(m *asym.Meter, sym *asym.SymTracker, sc *Scratch, ci
 	edges := sc.edges[:0]
 	addEdge := func(a, b int32) { edges = append(edges, [2]int32{addNode(a), addNode(b)}) }
 
+	// Category 3 checks a boundary edge against the tree edges, which
+	// Category 1b adds (one copy each) and every copy of which is skipped
+	// here. They are kept as sorted keys, so the check per boundary edge
+	// is a binary search rather than a scan of tns.
+	tree := sc.tree[:0]
+	for _, tn := range tns {
+		tree = append(tree, edgeKey(tn.inV, tn.outV))
+	}
+	slices.Sort(tree)
+
+	// One scan of the members' adjacency serves Categories 1a and 3.
 	// Category 1a: intra-cluster edges, each once; self-loops dropped.
+	// Category 3: boundary edges (v1 in C, v2 outside, not a tree edge)
+	// re-attach to the Vo node whose cluster subtree contains cluster(v2).
+	// Category 3 edges are buffered and appended after Categories 1b and
+	// 2, so the local edge order — and with it the block numbering — is
+	// that of three separate passes.
 	vw := graph.View{G: o.g, M: m}
+	bound := sc.bound[:0]
 	for _, v := range members {
 		deg := vw.Degree(int(v))
 		for i := 0; i < deg; i++ {
-			if u := vw.Neighbor(int(v), i); u > v && dsc.ListedRho(u) == s {
-				addEdge(v, u)
+			u := vw.Neighbor(int(v), i)
+			t := dsc.ListedRho(u)
+			if t == s {
+				if u > v {
+					addEdge(v, u)
+				}
+				continue
 			}
+			if _, isTree := slices.BinarySearch(tree, edgeKey(v, u)); isTree {
+				continue
+			}
+			cu := int32(d.CenterIndex(m, t))
+			vo := int32(-1)
+			for _, tn := range tns {
+				if tn.isPar {
+					continue
+				}
+				if o.ctree.IsAncestor(m, tn.child, cu) {
+					vo = tn.outV
+					break
+				}
+			}
+			if vo < 0 {
+				// Not under any child: the external cluster lies on the
+				// parent side.
+				if o.parentCluster[ci] == ci {
+					continue // isolated tree; cannot happen on valid input
+				}
+				vo = o.parentAttach[ci]
+			}
+			bound = append(bound, [2]int32{v, vo})
 		}
 	}
 	// Category 1b: the cluster tree edges, registering Vo nodes.
@@ -164,52 +209,13 @@ func (o *Oracle) buildLocal(m *asym.Meter, sym *asym.SymTracker, sc *Scratch, ci
 			prev, havePrev = tn.outV, true
 		}
 	}
-	// Category 3: boundary edges (v1 in C, v2 outside, not a tree edge)
-	// re-attach to the Vo node whose cluster subtree contains cluster(v2).
-	// Category 1b added one copy of each tree edge, and every copy of one
-	// is skipped here. The tree edges are kept as sorted keys, so the check
-	// per boundary edge is a binary search rather than a scan of tns.
-	tree := sc.tree[:0]
-	for _, tn := range tns {
-		tree = append(tree, edgeKey(tn.inV, tn.outV))
-	}
-	slices.Sort(tree)
-	for _, v := range members {
-		deg := vw.Degree(int(v))
-		for i := 0; i < deg; i++ {
-			u := vw.Neighbor(int(v), i)
-			t := dsc.ListedRho(u)
-			if t == s {
-				continue
-			}
-			if _, isTree := slices.BinarySearch(tree, edgeKey(v, u)); isTree {
-				continue
-			}
-			cu := int32(d.CenterIndex(m, t))
-			vo := int32(-1)
-			for _, tn := range tns {
-				if tn.isPar {
-					continue
-				}
-				if o.ctree.IsAncestor(m, tn.child, cu) {
-					vo = tn.outV
-					break
-				}
-			}
-			if vo < 0 {
-				// Not under any child: the external cluster lies on the
-				// parent side.
-				if o.parentCluster[ci] == ci {
-					continue // isolated tree; cannot happen on valid input
-				}
-				vo = o.parentAttach[ci]
-			}
-			addEdge(v, vo)
-		}
+	// Category 3, appended.
+	for _, e := range bound {
+		addEdge(e[0], e[1])
 	}
 	lg.blocks = solveBlocks(&sc.bs, len(lg.nodes), edges)
 	m.Op(len(lg.nodes) + len(edges))
-	sc.tns, sc.tree, sc.edges, sc.labels = tns, tree, edges, labels
+	sc.tns, sc.tree, sc.edges, sc.labels, sc.bound = tns, tree, edges, labels, bound
 	return lg
 }
 

@@ -17,8 +17,8 @@ type treeNbr struct {
 // query path: the decomposition-search scratch (whose cluster listing
 // buildLocal reads back), the local-graph build buffers of buildLocal and
 // the block solver's DFS state. A serving worker allocates one Scratch and
-// threads it through every query it answers, and BuildOracle uses one for
-// its whole build; nil everywhere means "allocate per call", the
+// threads it through every query it answers, and BuildOracle gives one
+// to each of its workers; nil everywhere means "allocate per call", the
 // paper-pristine original behavior kept by the reference/equivalence
 // tests.
 //
@@ -32,6 +32,7 @@ type Scratch struct {
 	tns    []treeNbr
 	tree   []uint64 // the tree edges as sorted edgeKey(inV, outV)
 	edges  [][2]int32
+	bound  [][2]int32 // Category 3 edges (member, Vo vertex), appended last
 	labels []int32
 	bs     blockScratch
 }

@@ -19,9 +19,9 @@ import (
 // buffers: a serving worker allocates one Scratch and threads it through
 // every query it answers, making the steady-state query path allocation
 // free, and each build (Build, and the bicc and conn oracle builds) threads
-// one through every ρ search it runs. A nil *Scratch everywhere means
-// "allocate per call", the original behavior — the paper-pristine reference
-// tests keep it.
+// one through every ρ search it runs (the bicc build one per worker). A
+// nil *Scratch everywhere means "allocate per call", the original
+// behavior — the paper-pristine reference tests keep it.
 //
 // A Scratch is not safe for concurrent use; it is worker-local by design.
 // Reuse does not change charged costs: meters see exactly the reads/ops a

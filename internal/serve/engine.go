@@ -851,7 +851,7 @@ type worker struct {
 	scratch []any
 	// fillSym isolates the symmetric peak of one cache-filling query so it
 	// can be recorded for replay: it is Reset before each fill, and the
-	// observed peak is pulsed onto sym (every query returns its footprint
+	// observed peak is folded into sym (every query returns its footprint
 	// to zero, so the worker's cumulative high-water is the max of
 	// per-query peaks either way).
 	fillSym *asym.SymTracker
@@ -921,10 +921,7 @@ func (w *worker) mergeInto(e *Engine) {
 //wec:noalloc
 func (w *worker) replay(m *asym.Meter, v rcVal) oracle.AnswerVal {
 	m.Merge(v.cost)
-	if v.peak > 0 {
-		w.sym.Acquire(int(v.peak))
-		w.sym.Release(int(v.peak))
-	}
+	w.sym.Fold(v.peak)
 	return v.av
 }
 
@@ -1026,13 +1023,10 @@ func (e *Engine) dispatch(s *snapshot, w *worker, q Query, labels *[]int32) (Res
 		before := m.Snapshot()
 		w.fillSym.Reset()
 		av, err = qo.Answer(m, w.fillSym, oracle.Query{Kind: q.Kind, U: q.U, V: q.V}, w.scratch[ref.fac])
-		// Pulse the fill's isolated peak onto the worker tracker: queries
+		// Fold the fill's isolated peak into the worker tracker: queries
 		// return their footprint to zero, so the worker's high-water is the
 		// max of per-query peaks either way.
-		if peak := w.fillSym.HighWater(); peak > 0 {
-			w.sym.Acquire(int(peak))
-			w.sym.Release(int(peak))
-		}
+		w.sym.Fold(w.fillSym.HighWater())
 		if err != nil {
 			w.errs[ref.agg]++
 			return Result{Err: err.Error()}, ref.agg
