@@ -16,7 +16,7 @@ RACE_PKGS := ./internal/serve/... ./internal/oracle/... ./internal/store/... \
              ./internal/bicc/ ./internal/spanning/ ./internal/ldd/ \
              ./internal/graph/ ./internal/decomp/ ./internal/core/
 
-.PHONY: build test race bench bench-record bench-smoke bench-baseline bench-check fuzz-smoke lint serve smoke smoke-churn smoke-multitenant smoke-restart ci
+.PHONY: build test race bench bench-build bench-record bench-smoke bench-baseline bench-check fuzz-smoke lint serve smoke smoke-churn smoke-multitenant smoke-restart ci
 
 build:
 	$(GO) build ./...
@@ -24,17 +24,24 @@ build:
 test:
 	$(GO) test ./...
 
-# The second line repeats the engine's ordering tests and the parallel
-# bicc build's determinism test (its 130k-vertex powerlaw case runs once,
-# in the first line: twenty race-built runs of it would take minutes).
+# The second line repeats the engine's ordering tests and the determinism
+# tests of the parallel bicc and decomposition builds (their 130k-vertex
+# powerlaw cases run once, in the first line: twenty race-built runs of
+# them would take minutes).
 race:
 	$(GO) test -race $(RACE_PKGS)
-	$(GO) test -race -count=20 -run '^(TestEngineWALBeforeStage|TestLazySingleFlight|TestBuildOracleParallelDeterministic)$$/^(uniform|small-components|no-centers)$$' ./internal/serve/ ./internal/bicc/
+	$(GO) test -race -count=20 -run '^(TestEngineWALBeforeStage|TestLazySingleFlight|TestBuildOracleParallelDeterministic|TestBuildParallelDeterministic)$$/^(uniform|small-components|no-centers|parallel-variant|extension-marks)$$' ./internal/serve/ ./internal/bicc/ ./internal/decomp/
 
 # Every paper-table benchmark executes once (smoke); use
 # `go test -bench . -benchtime 3s .` for real measurements.
 bench:
 	$(GO) test -bench . -benchtime 1x -run '^$$' ./...
+
+# The build curves at one and two processors: decomp.Build and
+# bicc.BuildOracle (n = 8192). Charged reads and writes per op must match
+# across -cpu settings; only ns/op may differ.
+bench-build:
+	$(GO) test -run '^$$' -bench '^BenchmarkBuild(Oracle)?$$' -cpu 1,2 -count 3 ./internal/decomp/ ./internal/bicc/
 
 # Regenerate the committed BENCH_*.json files at the repo root: the pinned
 # engine sweep and the HTTP sweep. Graph shapes and the uniform/powerlaw asymmetric costs are

@@ -1,6 +1,9 @@
 package asym
 
-import "math/bits"
+import (
+	"math/bits"
+	"sync/atomic"
+)
 
 // Array is an asymmetric-memory array of int32 words. Every Get charges one
 // read and every Set charges one write to the attached Meter. Algorithms in
@@ -93,6 +96,12 @@ func (a *Array64) Raw() []int64 { return a.data }
 // stores exactly one bit per center (primary vs secondary, §3), so bit-level
 // granularity matters for the space accounting even though the cost model
 // charges per word access.
+//
+// Bits are set with an atomic OR (cleared with an atomic AND) and read with
+// atomic loads, so processors may set distinct bits of one 64-bit word
+// concurrently: the parallel decomposition build marks the centers of
+// disjoint clusters that share words. On amd64 an atomic load is a plain
+// load, so readers pay nothing for it.
 type BitArray struct {
 	m     *Meter
 	words []uint64
@@ -110,22 +119,24 @@ func (b *BitArray) Len() int { return b.n }
 // Get reads bit i, charging one asymmetric read.
 func (b *BitArray) Get(i int) bool {
 	b.m.Read(1)
-	return b.words[i/64]&(1<<uint(i%64)) != 0
+	return b.RawGet(i)
 }
 
-// Set writes bit i, charging one asymmetric write.
+// Set writes bit i, charging one asymmetric write. Safe for concurrent use
+// with Set and Get on any bit.
 func (b *BitArray) Set(i int, v bool) {
 	b.m.Write(1)
+	bit := uint64(1) << uint(i%64)
 	if v {
-		b.words[i/64] |= 1 << uint(i%64)
+		atomic.OrUint64(&b.words[i/64], bit)
 	} else {
-		b.words[i/64] &^= 1 << uint(i%64)
+		atomic.AndUint64(&b.words[i/64], ^bit)
 	}
 }
 
 // RawGet reads bit i without charging. For verification only.
 func (b *BitArray) RawGet(i int) bool {
-	return b.words[i/64]&(1<<uint(i%64)) != 0
+	return atomic.LoadUint64(&b.words[i/64])&(1<<uint(i%64)) != 0
 }
 
 // Rank is a constant-time rank directory over a BitArray, the one-level
@@ -133,7 +144,8 @@ func (b *BitArray) RawGet(i int) bool {
 // graphs", FOCS 1989; Vigna's rank9, WEA 2008): one int32 per 64-bit word
 // holding the number of set bits in all earlier words. It turns "position
 // of bit i among the set bits" into one word read, one directory read and a
-// popcount. The bit array must not change once the directory is built.
+// popcount. The bit array must not change once the directory is built, so
+// the directory reads its words with plain loads.
 type Rank struct {
 	b   *BitArray
 	dir []int32 // dir[w] = set bits in words[0:w]

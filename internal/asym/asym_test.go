@@ -107,11 +107,15 @@ func TestMeterMergeConcurrent(t *testing.T) {
 	}
 }
 
-// TestMeterPadded guards the padding that keeps per-processor meters off
-// each other's cache lines: a Meter spans whole 64-byte lines.
+// TestMeterPadded guards the padding that keeps per-processor meters and
+// symmetric-memory trackers off each other's cache lines: each spans whole
+// 64-byte lines.
 func TestMeterPadded(t *testing.T) {
 	if sz := unsafe.Sizeof(Meter{}); sz%64 != 0 {
 		t.Fatalf("unsafe.Sizeof(Meter{}) = %d, not a multiple of 64", sz)
+	}
+	if sz := unsafe.Sizeof(SymTracker{}); sz%64 != 0 {
+		t.Fatalf("unsafe.Sizeof(SymTracker{}) = %d, not a multiple of 64", sz)
 	}
 }
 
@@ -223,6 +227,39 @@ func TestBitArray(t *testing.T) {
 	}
 	if m.Writes() == 0 || m.Reads() == 0 {
 		t.Fatal("BitArray did not meter")
+	}
+}
+
+// TestBitArrayConcurrentSet sets interleaved bits from several goroutines,
+// so every 64-bit word has concurrent writers, as when the parallel
+// decomposition build marks the centers of clusters that share words. Each
+// goroutine also reads the bits it set. Without atomic word updates set
+// bits get lost, and under -race the detector reports the shared words.
+func TestBitArrayConcurrentSet(t *testing.T) {
+	const n, workers = 1024, 4
+	m := NewMeter(1)
+	b := NewBitArray(m, n)
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := w; i < n; i += workers {
+				b.Set(i, true)
+				if !b.Get(i) {
+					t.Errorf("bit %d read back unset", i)
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	for i := 0; i < n; i++ {
+		if !b.RawGet(i) {
+			t.Fatalf("bit %d lost", i)
+		}
+	}
+	if m.Writes() != n || m.Reads() != n {
+		t.Fatalf("charged %d writes and %d reads, want %d each", m.Writes(), m.Reads(), n)
 	}
 }
 

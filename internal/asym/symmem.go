@@ -10,11 +10,16 @@ import "sync"
 // Usage pattern: each task Acquires words for its scratch (BFS queue, local
 // graph, cluster buffer) and Releases them when the scratch is discarded.
 // The tracker records the maximum simultaneous total.
+//
+// A tracker is padded to 128 bytes, as a Meter is: every search of a
+// parallel build pass acquires and releases on its worker's tracker, and
+// unpadded, two workers' trackers shared a cache line.
 type SymTracker struct {
 	mu    sync.Mutex
 	cur   int64
 	high  int64
 	limit int64 // 0 = unlimited
+	_     [128 - 32]byte
 }
 
 // NewSymTracker returns a tracker with the given word limit; limit 0 means

@@ -3,7 +3,6 @@ package bicc
 import (
 	"runtime"
 
-	"repro/internal/asym"
 	"repro/internal/decomp"
 	"repro/internal/eulertour"
 	"repro/internal/graph"
@@ -119,11 +118,11 @@ func BuildOracle(c *parallel.Ctx, vw graph.View, d *decomp.Decomposition, k int,
 	}
 	var roots []int32
 	nbrs := make([][]decomp.CenterEdge, np)
-	parallelPass(c, m, ws, np, func(w *buildWorker, lo, hi int) {
+	parallel.Pass(c, m, ws, np, func(w *buildWorker, _ *parallel.Ctx, lo, hi int) {
 		for ci := lo; ci < hi; ci++ {
-			s := d.Center(w.m, ci)
+			s := d.Center(w.M, ci)
 			// Copied out: the listing is borrowed from the scratch.
-			nbrs[ci] = append([]decomp.CenterEdge(nil), d.NeighborCentersS(w.m, w.sym, w.sc.dsc, s)...)
+			nbrs[ci] = append([]decomp.CenterEdge(nil), d.NeighborCentersS(w.M, w.Sym, w.sc.dsc, s)...)
 		}
 	})
 	for s := int32(0); s < int32(np); s++ {
@@ -277,9 +276,9 @@ func BuildOracle(c *parallel.Ctx, vw graph.View, d *decomp.Decomposition, k int,
 	// spanning-BCC unions, applied after the pass (the canonical ids are
 	// class minima, so the order of unions does not matter).
 	internalCount := make([]int32, np)
-	parallelPass(c, m, ws, np, func(w *buildWorker, lo, hi int) {
+	parallel.Pass(c, m, ws, np, func(w *buildWorker, _ *parallel.Ctx, lo, hi int) {
 		for ci := int32(lo); ci < int32(hi); ci++ {
-			lg := o.buildLocal(w.m, w.sym, w.sc, ci)
+			lg := o.buildLocal(w.M, w.Sym, w.sc, ci)
 			members, _ := w.sc.dsc.Listing()
 			w.clustered += len(members)
 			// Bits for each child edge D: can one pass from D through ci
@@ -417,11 +416,11 @@ func BuildOracle(c *parallel.Ctx, vw graph.View, d *decomp.Decomposition, k int,
 // materialization per implicit component. O(nk) expected reads.
 func (o *Oracle) smallComponentBCCs(c *parallel.Ctx, vw graph.View, ws []*buildWorker) int {
 	d := o.D
-	parallelPass(c, vw.M, ws, vw.G.N(), func(w *buildWorker, lo, hi int) {
+	parallel.Pass(c, vw.M, ws, vw.G.N(), func(w *buildWorker, _ *parallel.Ctx, lo, hi int) {
 		for v := int32(lo); v < int32(hi); v++ {
-			s := d.RhoS(w.m, w.sym, w.sc.dsc, v)
-			if d.CenterIndex(w.m, s) < 0 && s == v {
-				b, _ := o.smallComponent(w.m, w.sym, w.sc, v)
+			s := d.RhoS(w.M, w.Sym, w.sc.dsc, v)
+			if d.CenterIndex(w.M, s) < 0 && s == v {
+				b, _ := o.smallComponent(w.M, w.Sym, w.sc, v)
 				w.smallBCCs += b.numBCC
 			}
 		}
@@ -434,12 +433,11 @@ func (o *Oracle) smallComponentBCCs(c *parallel.Ctx, vw graph.View, ws []*buildW
 }
 
 // buildWorker is one processor's private state in BuildOracle's parallel
-// passes: its own meter, symmetric-memory tracker (nil when the build
-// tracks none) and scratch, plus what its chunks hand back to the
-// sequential code between passes.
+// passes (parallel.Pass): its own meter and symmetric-memory tracker (nil
+// when the build tracks none) and scratch, plus what its chunks hand back
+// to the sequential code between passes.
 type buildWorker struct {
-	m         *asym.Meter
-	sym       *asym.SymTracker
+	parallel.Worker
 	sc        *Scratch
 	unions    [][2]int32 // spanning-BCC unions of the local-graph pass
 	clustered int        // cluster members listed by the local-graph pass
@@ -450,35 +448,9 @@ type buildWorker struct {
 func newBuildWorkers(omega int, trackSym bool) []*buildWorker {
 	ws := make([]*buildWorker, runtime.GOMAXPROCS(0))
 	for i := range ws {
-		ws[i] = &buildWorker{m: asym.NewMeter(omega), sc: NewScratch()}
-		if trackSym {
-			ws[i].sym = asym.NewSymTracker(0)
-		}
+		ws[i] = &buildWorker{Worker: parallel.NewWorker(omega, trackSym), sc: NewScratch()}
 	}
 	return ws
-}
-
-// parallelPass runs body over [0,n) in one contiguous chunk per worker
-// (c.ForEachChunk). A chunk charges only its worker's meter and tracker.
-// When it ends, its costs merge into m (one Merge per chunk) and its
-// symmetric peak folds into c.Sym() by max, since in the Asymmetric NP model
-// each processor owns its symmetric memory. A pass therefore charges
-// exactly what one sequential loop would, whatever the worker count. The
-// bodies record no depth (no pass of BuildOracle ever did), so c's depth
-// grows only by the fork spine over the chunks.
-func parallelPass(c *parallel.Ctx, m *asym.Meter, ws []*buildWorker, n int, body func(w *buildWorker, lo, hi int)) {
-	sym := c.Sym()
-	chunk := (n + len(ws) - 1) / len(ws)
-	c.ForEachChunk(n, chunk, func(_ *parallel.Ctx, lo, hi int) {
-		w := ws[lo/chunk]
-		body(w, lo, hi)
-		m.Merge(w.m.Snapshot())
-		w.m.Reset()
-		if sym != nil {
-			sym.Fold(w.sym.HighWater())
-			w.sym.Reset()
-		}
-	})
 }
 
 func defaultK(omega int) int {

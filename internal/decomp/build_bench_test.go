@@ -13,7 +13,9 @@ import (
 // k = 8): the per-layer curve under the bicc and conn oracle builds. Every
 // ρ the build needs is recomputed by a search, so this is mostly search
 // speed; reads/vertex and writes/op are the cost model's view of the same
-// run.
+// run. Both passes run one chunk per processor, so compare -cpu 1,2 (make
+// bench-build): ns/op should fall with the processor count, while
+// reads/vertex and writes/op must not move.
 func BenchmarkBuild(b *testing.B) {
 	g := graph.RandomRegular(8192, 3, 42)
 	b.ReportAllocs()

@@ -22,6 +22,7 @@ package decomp
 
 import (
 	"fmt"
+	"runtime"
 	"sync/atomic"
 
 	"repro/internal/asym"
@@ -78,6 +79,9 @@ type Options struct {
 // Build constructs an implicit k-decomposition of the graph behind vw,
 // charging all construction traffic to vw.M: O(kn) expected operations and
 // O(n/k) expected writes (Lemma 3.6). seed drives the primary sampling.
+// Its two vertex passes run in one chunk per GOMAXPROCS processor; the
+// result, the charged costs and the symmetric high-water on c.Sym() do not
+// depend on the processor count.
 //
 // The graph need not be connected (the §3 extension is applied), but its
 // degree should be bounded for the stated costs to hold; Build works on any
@@ -102,8 +106,8 @@ func Build(c *parallel.Ctx, vw graph.View, k int, seed uint64, opt Options) *Dec
 	// Line 1 of Algorithm 1: sample each vertex into S0 with probability
 	// 1/k. The coin is a hash of the vertex id, so it is reproducible and
 	// needs no stored randomness.
+	m.Op(n) // one coin per vertex
 	for v := 0; v < n; v++ {
-		m.Op(1)
 		if graph.Hash64(seed, uint64(v))%uint64(k) == 0 {
 			d.isCenter.Set(v, true)
 			d.isPrimary.Set(v, true)
@@ -112,25 +116,26 @@ func Build(c *parallel.Ctx, vw graph.View, k int, seed uint64, opt Options) *Dec
 	}
 
 	// Both passes below recompute ρ with a search on every use (the
-	// decomposition never stores it); they share one search scratch so
-	// those searches reuse their buffers instead of allocating per call.
-	sc := NewScratch()
+	// decomposition never stores it). They run in parallel, one contiguous
+	// chunk of vertices per worker (parallel.Pass); each worker's scratch
+	// serves all of its searches.
+	ws := d.newBuildWorkers(m.Omega(), c.Sym() != nil)
 
 	// Unconnected-graph extension: a component of size >= k that drew no
 	// primary gets its smallest vertex marked primary. Components smaller
 	// than k are served by an implicit (never written) center.
-	d.extendUnconnected(c, vw, opt, sc)
+	d.extendUnconnected(c, vw, opt, ws)
 
 	// Lines 3-4: carve every primary cluster into size-<=k pieces by
 	// adding secondary centers.
-	d.addSecondaryCenters(c, vw, opt, sc)
+	d.addSecondaryCenters(c, vw, opt, ws)
 
 	// Materialize the sorted center list (the clusters-graph numbering):
 	// O(n) reads to scan the bitmap, O(n/k) writes to store the list.
 	ids := make([]int32, 0, 2*(n/max(1, k))+4)
+	m.Read(n) // one bit read per vertex
 	for v := 0; v < n; v++ {
-		m.Read(1)
-		if d.isCenter.RawGet(v) { //wec:unmetered charged by the m.Read(1) above
+		if d.isCenter.RawGet(v) { //wec:unmetered charged by the m.Read(n) above
 			ids = append(ids, int32(v))
 		}
 	}
@@ -180,16 +185,43 @@ func (d *Decomposition) IsPrimary(m *asym.Meter, v int32) bool {
 	return d.isPrimary.RawGet(int(v)) //wec:unmetered charged by the m.Read(1) above
 }
 
-// markSecondary adds u to S1 (one read for the double-mark probe, one
-// write per bit set, as in Lemma 3.6).
+// buildWorker is one processor's private state in Build's parallel
+// passes: its own meter and symmetric-memory tracker (parallel.Worker) and
+// search scratch, plus what its chunks hand back to the sequential code.
+type buildWorker struct {
+	parallel.Worker
+	sc        *Scratch
+	secondary int         // secondary centers this worker marked
+	marks     []int32     // extension: vertices to mark primary after the pass
+	redo      []int32     // extension: vertices to search again after the marks
+	skipped   *asym.Meter // SkippedWalkReads: charged the walks clusterSearch skips
+}
+
+// newBuildWorkers returns one worker per GOMAXPROCS processor. The
+// UnstableTieBreak ablation numbers its searches in call order, so it gets
+// one worker and keeps the sequential order.
+func (d *Decomposition) newBuildWorkers(omega int, trackSym bool) []*buildWorker {
+	p := runtime.GOMAXPROCS(0)
+	if d.unstable {
+		p = 1
+	}
+	ws := make([]*buildWorker, p)
+	for i := range ws {
+		ws[i] = &buildWorker{Worker: parallel.NewWorker(omega, trackSym), sc: NewScratch()}
+	}
+	return ws
+}
+
+// markSecondary adds u to S1 for worker w (one read for the double-mark
+// probe, one write per bit set, as in Lemma 3.6).
 //
 //wec:mutator construction-time helper of Build, before the decomposition is shared
-func (d *Decomposition) markSecondary(u int32) {
+func (d *Decomposition) markSecondary(w *buildWorker, u int32) {
 	if d.isCenter.Get(int(u)) {
 		return
 	}
 	d.isCenter.Set(int(u), true)
-	d.SecondaryCount++
+	w.secondary++
 }
 
 // markPrimary adds u to S0 (used by the unconnected extension).
@@ -200,13 +232,6 @@ func (d *Decomposition) markPrimary(u int32) {
 	d.isPrimary.Set(int(u), true)
 	d.PrimaryCount++
 	d.ExtraPrimaries++
-}
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 func log2ceil(n int) int {

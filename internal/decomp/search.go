@@ -19,9 +19,9 @@ import (
 // buffers: a serving worker allocates one Scratch and threads it through
 // every query it answers, making the steady-state query path allocation
 // free, and each build (Build, and the bicc and conn oracle builds) threads
-// one through every ρ search it runs (the bicc build one per worker). A
-// nil *Scratch everywhere means "allocate per call", the original
-// behavior — the paper-pristine reference tests keep it.
+// one through every ρ search it runs (Build and the bicc build one per
+// worker). A nil *Scratch everywhere means "allocate per call", the
+// original behavior — the paper-pristine reference tests keep it.
 //
 // A Scratch is not safe for concurrent use; it is worker-local by design.
 // Reuse does not change charged costs: meters see exactly the reads/ops a
@@ -47,6 +47,13 @@ type Scratch struct {
 	cSeen     vertexTable // vertex of N[C] -> its ρ, recorded by the listing
 	ncOut     []CenterEdge
 	ncSeen    vertexTable // neighbor center -> index into ncOut
+
+	// Build's cluster-tree workspace (clusterSearch, splitter), which also
+	// borrows cFrontier, cNext and cSeen: a build never lists a cluster
+	// mid-search.
+	tMembers []int32
+	tParent  []int32
+	tSize    []int
 }
 
 // NewScratch returns an empty reusable search workspace.
@@ -77,22 +84,24 @@ type searchState struct {
 // shortest-path tree. The search stops after visiting cap vertices (cap <= 0
 // means unbounded) or when the component is exhausted.
 //
-// With a non-nil scratch the parent table and traversal slices are reused
-// buffers (the zero-alloc serving path) and adjacency lists are iterated
-// directly off the CSR span, with reads charged in bulk for exactly the
-// slots scanned — one meter update per vertex expansion (or a partial one
-// at an early exit) instead of one per neighbor, identical charged totals
-// to the per-slot Neighbor path even when visit stops the search mid-scan.
-// With a nil scratch every call allocates fresh state, the original
-// behavior.
+// The search charges one op per reached vertex. With a non-nil scratch
+// the parent table and traversal slices are reused buffers (the zero-alloc
+// serving path) and adjacency lists are iterated directly off the CSR
+// span, with reads charged in bulk for each expanded vertex's degree and
+// exactly the slots scanned. The ops and these reads are charged in one
+// meter update each when the search returns, instead of one per vertex or
+// neighbor: identical charged totals to the per-slot Neighbor path even
+// when visit stops the search mid-scan. With a nil scratch every call
+// allocates fresh state, the original behavior.
 //
 // Symmetric memory: each reached vertex holds two words (its parent entry
 // and its slot in the visit order). Nothing is freed before the search
-// returns, so the words are summed as the search goes and charged to sym
-// with one Acquire/Release pair at the end — one tracker update per search
-// instead of one per vertex. The visit callbacks acquire nothing, so a
-// tracker without concurrent users sees the same high-water mark as with
-// per-vertex acquires.
+// returns, so the words are summed as the search goes and folded into sym
+// at the end (SymTracker.Fold: the high-water of acquiring them all and
+// releasing them at once) — one tracker update per search instead of one
+// per vertex. The visit callbacks acquire nothing, so a tracker without
+// concurrent users sees the same high-water mark as with per-vertex
+// acquires.
 //
 // Order correctness: the frontier is processed in discovery order and each
 // vertex's neighbors are scanned in increasing id (= decreasing priority
@@ -115,11 +124,13 @@ func (d *Decomposition) search(m *asym.Meter, sym *asym.SymTracker, sc *Scratch,
 	st.parent.put(v, v)
 	frontier = append(frontier, v) //wec:alloc amortized scratch growth; steady state stays within capacity
 	st.order = append(st.order, v) //wec:alloc amortized scratch growth; steady state stays within capacity
+	// Reads of the zero-alloc path, charged at release.
+	spanReads := 0
 	release := func() {
+		m.Op(len(st.order)) // one per reached vertex
+		m.Read(spanReads)
 		if sym != nil {
-			words := 2 * len(st.order) // parent entry + visit-order slot per reached vertex
-			sym.Acquire(words)
-			sym.Release(words)
+			sym.Fold(int64(2 * len(st.order))) // parent entry + visit-order slot per reached vertex
 		}
 		if sc != nil {
 			// Hand grown buffers back so the capacity survives to the
@@ -127,7 +138,6 @@ func (d *Decomposition) search(m *asym.Meter, sym *asym.SymTracker, sc *Scratch,
 			sc.order, sc.frontier, sc.next = st.order, frontier, next
 		}
 	}
-	m.Op(1)
 	if visit(v) {
 		st.stopped, st.hit = true, v
 		release()
@@ -145,16 +155,19 @@ func (d *Decomposition) search(m *asym.Meter, sym *asym.SymTracker, sc *Scratch,
 	for len(frontier) > 0 {
 		next = next[:0]
 		for _, x := range frontier {
-			deg := vw.Degree(int(x))
+			deg := d.g.Degree(int(x)) //wec:unmetered charged below, on the path that scans x
 			order := d.neighborOrder(callSeed, x, deg)
 			var span []int32
 			if sc != nil && order == nil {
-				// Zero-alloc path: iterate the CSR span in place. Reads
-				// are charged for the slots actually scanned — one bulk
-				// meter update after a full scan, a partial one at an
-				// early exit — so charged totals match the per-slot
-				// Neighbor path exactly.
-				span = d.g.Adj(int(x)) //wec:unmetered span reads are bulk-charged after the scan (see above)
+				// Zero-alloc path: iterate the CSR span in place. The
+				// degree read and the slots actually scanned are counted
+				// in spanReads and charged once at release, so charged
+				// totals match the per-slot Neighbor path exactly, even
+				// when visit stops the search mid-scan.
+				span = d.g.Adj(int(x)) //wec:unmetered span reads are bulk-charged at release (see above)
+				spanReads++
+			} else {
+				m.Read(1) // the degree read
 			}
 			for i := 0; i < deg; i++ {
 				slot := i
@@ -172,10 +185,9 @@ func (d *Decomposition) search(m *asym.Meter, sym *asym.SymTracker, sc *Scratch,
 				}
 				st.parent.put(u, x)
 				st.order = append(st.order, u) //wec:alloc amortized scratch growth; steady state stays within capacity
-				m.Op(1)
 				if visit(u) {
 					if span != nil {
-						m.Read(i + 1) // span slots scanned before the stop
+						spanReads += i + 1 // span slots scanned before the stop
 					}
 					st.stopped, st.hit = true, u
 					release()
@@ -183,7 +195,7 @@ func (d *Decomposition) search(m *asym.Meter, sym *asym.SymTracker, sc *Scratch,
 				}
 				if cap > 0 && len(st.order) >= cap {
 					if span != nil {
-						m.Read(i + 1) // span slots scanned before the cap
+						spanReads += i + 1 // span slots scanned before the cap
 					}
 					release()
 					return st
@@ -191,7 +203,7 @@ func (d *Decomposition) search(m *asym.Meter, sym *asym.SymTracker, sc *Scratch,
 				next = append(next, u) //wec:alloc amortized scratch growth; steady state stays within capacity
 			}
 			if span != nil {
-				m.Read(deg) // the full span was scanned
+				spanReads += deg // the full span was scanned
 			}
 		}
 		frontier, next = next, frontier
@@ -250,10 +262,28 @@ func (d *Decomposition) RhoS(m *asym.Meter, sym *asym.SymTracker, sc *Scratch, v
 //
 //wec:noalloc
 func (d *Decomposition) rhoPath(m *asym.Meter, sym *asym.SymTracker, sc *Scratch, v int32) (int32, []int32) {
-	st := d.search(m, sym, sc, v, 0, func(u int32) bool {
-		m.Read(1)
-		return d.isPrimary.RawGet(int(u)) //wec:unmetered charged by the m.Read(1) above
+	return d.rhoOf(m, sc, d.primarySearch(m, sym, sc, v, 0), v)
+}
+
+// primarySearch is the search for ρ0(v): it stops at the first primary
+// center it reaches, charging one read per center-bit probe. Every
+// reached vertex is probed exactly once, so the probes are charged in one
+// update after the search. cap bounds the visits as in search.
+//
+//wec:noalloc
+func (d *Decomposition) primarySearch(m *asym.Meter, sym *asym.SymTracker, sc *Scratch, v int32, cap int) searchState {
+	st := d.search(m, sym, sc, v, cap, func(u int32) bool {
+		return d.isPrimary.RawGet(int(u)) //wec:unmetered charged below, one read per reached vertex
 	})
+	m.Read(len(st.order))
+	return st
+}
+
+// rhoOf finishes ρ(v) and its path (as rhoPath returns them) from st, v's
+// unbounded primary search.
+//
+//wec:noalloc
+func (d *Decomposition) rhoOf(m *asym.Meter, sc *Scratch, st searchState, v int32) (int32, []int32) {
 	if !st.stopped {
 		// Component exhausted without a primary: implicit smallest-vertex
 		// center (possible only for components smaller than k, since
@@ -267,14 +297,16 @@ func (d *Decomposition) rhoPath(m *asym.Meter, sym *asym.SymTracker, sc *Scratch
 		m.Op(len(st.order))
 		return min, nil
 	}
-	// Walk the path from v toward ρ0(v); the first center is ρ(v).
+	// Walk the path from v toward ρ0(v); the first center is ρ(v). One
+	// read per center bit probed.
 	path := st.pathFrom(sc, v, st.hit)
 	for i, u := range path {
-		m.Read(1)
-		if d.isCenter.RawGet(int(u)) { //wec:unmetered charged by the m.Read(1) above
+		if d.isCenter.RawGet(int(u)) { //wec:unmetered charged by the m.Read(i + 1) below
+			m.Read(i + 1)
 			return u, path[:i+1]
 		}
 	}
+	m.Read(len(path))
 	return st.hit, path // unreachable: ρ0(v) itself is a center
 }
 
@@ -307,10 +339,7 @@ func (d *Decomposition) PathToCenterS(m *asym.Meter, sym *asym.SymTracker, sc *S
 // Rho0 returns ρ0(v), the nearest primary center (or the implicit center of
 // a primary-free small component).
 func (d *Decomposition) Rho0(m *asym.Meter, sym *asym.SymTracker, v int32) int32 {
-	st := d.search(m, sym, nil, v, 0, func(u int32) bool {
-		m.Read(1)
-		return d.isPrimary.RawGet(int(u)) //wec:unmetered charged by the m.Read(1) above
-	})
+	st := d.primarySearch(m, sym, nil, v, 0)
 	if !st.stopped {
 		min := v
 		for _, u := range st.order {
@@ -491,37 +520,59 @@ func (d *Decomposition) NeighborCentersS(m *asym.Meter, sym *asym.SymTracker, sc
 // finding a primary marks the component's smallest vertex (only the
 // smallest vertex performs the mark, so each component is marked once).
 // Searches are capped at O(k log n) visits — the whp bound of Lemma 3.2 —
-// so the pass costs O(nk) expected operations and O(n/k) writes. sc is
-// the build's reusable search scratch.
-func (d *Decomposition) extendUnconnected(c *parallel.Ctx, vw graph.View, opt Options, sc *Scratch) {
+// so the pass costs O(nk) expected operations and O(n/k) writes.
+//
+// The searches run in parallel, one chunk of vertices per worker, against
+// the sampled primaries only; the marks are applied after the pass. The
+// pass charges what visiting the vertices in id order and marking as it
+// goes would: there a component's smallest vertex is marked before any
+// other vertex of it searches, and their searches stop at the mark. So a
+// worker refunds the search of every other vertex of a component that gets
+// marked, and that vertex searches again once the marks are in. Such a
+// search visits a whole component of fewer than O(k log n) vertices, so
+// the redone searches are few and run sequentially.
+func (d *Decomposition) extendUnconnected(c *parallel.Ctx, vw graph.View, opt Options, ws []*buildWorker) {
 	n := vw.G.N()
 	cap := opt.MaxSearch
 	if cap <= 0 {
 		cap = 4 * d.k * max(1, log2ceil(max(2, n)))
 	}
-	for v := 0; v < n; v++ {
-		st := d.search(vw.M, c.Sym(), sc, int32(v), cap, func(u int32) bool {
-			vw.M.Read(1)
-			return d.isPrimary.RawGet(int(u)) //wec:unmetered charged by the vw.M.Read(1) above
-		})
-		if st.stopped {
-			continue // has a primary
-		}
-		if len(st.order) >= cap {
-			continue // cap hit: whp the component has a primary further out
-		}
-		// Component exhausted without a primary.
-		if len(st.order) < d.k {
-			continue // small component: implicit center, never written
-		}
-		min := int32(v)
-		for _, u := range st.order {
-			if u < min {
-				min = u
+	parallel.Pass(c, vw.M, ws, n, func(w *buildWorker, _ *parallel.Ctx, lo, hi int) {
+		for v := int32(lo); v < int32(hi); v++ {
+			charged := w.M.Snapshot()
+			st := d.primarySearch(w.M, w.Sym, w.sc, v, cap)
+			if st.stopped {
+				continue // has a primary
 			}
+			if len(st.order) >= cap {
+				continue // cap hit: whp the component has a primary further out
+			}
+			// Component exhausted without a primary.
+			if len(st.order) < d.k {
+				continue // small component: implicit center, never written
+			}
+			min := v
+			for _, u := range st.order {
+				if u < min {
+					min = u
+				}
+			}
+			if min == v {
+				w.marks = append(w.marks, v)
+				continue
+			}
+			w.M.Merge(charged.Sub(w.M.Snapshot())) // refund: redone after the marks
+			w.redo = append(w.redo, v)
 		}
-		if min == int32(v) {
-			d.markPrimary(int32(v))
+	})
+	for _, w := range ws {
+		for _, v := range w.marks {
+			d.markPrimary(v)
+		}
+	}
+	for _, w := range ws {
+		for _, v := range w.redo {
+			d.primarySearch(vw.M, c.Sym(), ws[0].sc, v, cap)
 		}
 	}
 	c.AddDepth(int64(d.k)) // parallel over vertices; per-search depth O(k)

@@ -78,38 +78,36 @@ func (c *Ctx) child() *Ctx {
 
 // Fork2 runs f and g as parallel children (the Fork instruction of the
 // model) and adds max(depth(f), depth(g)) + 1 to this task's depth.
+//
+// A panic in either branch reaches Fork2's caller, as if the branches had
+// run sequentially: a panic in f, which may run on a spawned goroutine, is
+// recovered there and raised again on the calling goroutine once f has
+// ended. f is joined even when g panics, so no branch outlives the call.
 func (c *Ctx) Fork2(f, g func(*Ctx)) {
 	cf, cg := c.child(), c.child()
 	select {
 	case tokens <- struct{}{}:
 		done := make(chan struct{})
+		var fPanic any
 		go func() {
-			defer func() { <-tokens; close(done) }()
+			defer func() {
+				fPanic = recover()
+				<-tokens
+				close(done)
+			}()
 			f(cf)
 		}()
-		g(cg)
-		<-done
+		func() {
+			defer func() { <-done }()
+			g(cg)
+		}()
+		if fPanic != nil {
+			panic(fPanic)
+		}
 	default:
 		f(cf)
 		g(cg)
 	}
-	d := cf.depth
-	if cg.depth > d {
-		d = cg.depth
-	}
-	c.depth += d + 1
-}
-
-// Fork2Seq runs f then g sequentially but accounts their depths as a
-// parallel fork (max + 1). Algorithms whose logical structure is parallel
-// but whose shared-state updates are deliberately unsynchronized (the
-// secondary-center marking of Algorithm 1) use this so the measured depth
-// still reflects the fork-join DAG of Lemma 3.7 while execution stays
-// deterministic.
-func (c *Ctx) Fork2Seq(f, g func(*Ctx)) {
-	cf, cg := c.child(), c.child()
-	f(cf)
-	g(cg)
 	d := cf.depth
 	if cg.depth > d {
 		d = cg.depth

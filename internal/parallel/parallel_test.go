@@ -246,3 +246,95 @@ func TestCtxAccessors(t *testing.T) {
 		t.Fatal("accessor identity")
 	}
 }
+
+// TestForkPanicReachesCaller panics in the first branch of each fork shape,
+// the one Fork2 may run on a spawned goroutine, and requires the panic to
+// reach the caller's recover with its value intact and the fork's token
+// returned. A forked goroutine without a recover would instead crash the
+// test binary.
+func TestForkPanicReachesCaller(t *testing.T) {
+	type boom struct{}
+	cases := []struct {
+		name string
+		run  func(c *Ctx)
+	}{
+		{"Fork2", func(c *Ctx) {
+			c.Fork2(func(*Ctx) { panic(boom{}) }, func(*Ctx) {})
+		}},
+		{"Fork2-both", func(c *Ctx) {
+			c.Fork2(func(*Ctx) { panic(boom{}) }, func(*Ctx) { panic(boom{}) })
+		}},
+		{"For", func(c *Ctx) {
+			c.SetGrain(1)
+			c.For(0, 8, func(_ *Ctx, i int) {
+				if i == 0 {
+					panic(boom{})
+				}
+			})
+		}},
+		{"ForEachChunk", func(c *Ctx) {
+			c.ForEachChunk(8, 4, func(_ *Ctx, lo, hi int) {
+				if lo == 0 {
+					panic(boom{})
+				}
+			})
+		}},
+	}
+	caught := func(run func(c *Ctx)) (r any) {
+		defer func() { r = recover() }()
+		run(newCtx())
+		return nil
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			if r := caught(tc.run); r != (boom{}) {
+				t.Fatalf("caller recovered %v, want the branch's panic value", r)
+			}
+			if n := len(tokens); n != 0 {
+				t.Fatalf("%d fork tokens still held after the panic", n)
+			}
+		})
+	}
+}
+
+// passWorker is a Pass worker with a per-chunk record.
+type passWorker struct {
+	Worker
+	chunks int
+}
+
+// TestPassMergesAndFolds checks that a Pass charges the target meter what
+// its chunks charged their workers, folds the largest worker peak into the
+// context's tracker by max, leaves every worker zeroed, and adds the
+// deepest chunk's depth.
+func TestPassMergesAndFolds(t *testing.T) {
+	m := asym.NewMeter(8)
+	sym := asym.NewSymTracker(0)
+	c := NewCtx(m, sym)
+	ws := make([]*passWorker, 3)
+	for i := range ws {
+		ws[i] = &passWorker{Worker: NewWorker(8, true)}
+	}
+	Pass(c, m, ws, 10, func(w *passWorker, wc *Ctx, lo, hi int) {
+		w.chunks++
+		wc.Meter().Read(hi - lo)
+		wc.Meter().Write(1)
+		wc.Sym().Acquire(hi - lo)
+		wc.Sym().Release(hi - lo)
+		wc.AddDepth(int64(100 * (hi - lo)))
+	})
+	if m.Reads() != 10 || m.Writes() != 3 {
+		t.Fatalf("merged r=%d w=%d, want r=10 w=3", m.Reads(), m.Writes())
+	}
+	if hw := sym.HighWater(); hw != 4 {
+		t.Fatalf("folded high-water %d, want the largest chunk's 4", hw)
+	}
+	for i, w := range ws {
+		if w.chunks != 1 || w.M.Reads() != 0 || w.Sym.HighWater() != 0 {
+			t.Fatalf("worker %d: %d chunks, %d reads and high-water %d left", i, w.chunks, w.M.Reads(), w.Sym.HighWater())
+		}
+	}
+	if d := c.Depth(); d < 400 || d > 400+8 {
+		t.Fatalf("depth %d, want the deepest chunk's 400 plus a short fork spine", d)
+	}
+}

@@ -634,11 +634,11 @@ func New(g *graph.Graph, cfg Config) *Engine {
 // to leave unbuilt (LazyBoot's deferred slots): their oracle stays nil
 // with a zero cost.
 //
-// A panicking Build is re-raised on the *calling* goroutine: the parallel
-// fork runs branches on spawned goroutines with no recover of their own,
-// so without the capture here a single oracle panic would kill the whole
-// process instead of reaching the caller's recover (the Registry parks the
-// graph at StateFailed).
+// A panicking Build is re-raised on the calling goroutine, named after its
+// factory, once every build has ended, and reaches the caller's recover
+// (the Registry parks the graph at StateFailed). A panic inside a build's
+// own parallel passes gets there too: parallel.Ctx re-raises a forked
+// branch's panic at its join.
 func (e *Engine) buildOracles(g *graph.Graph, skip []bool) ([]oracle.QueryOracle, []asym.Cost) {
 	os := make([]oracle.QueryOracle, len(e.factories))
 	ms := make([]*asym.Meter, len(e.factories))
