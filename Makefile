@@ -4,12 +4,12 @@
 GO ?= go
 
 # Concurrency-critical packages for the -race pass (the serving layer, the
-# oracle registry, the conn dynamic/forest update paths, the parallel-build
-# oracles and generators, the decomposition whose search scratch every
-# build threads through and the core facade over those builds, plus their
+# conn dynamic/forest update paths, the parallel-build oracles and
+# generators, the decomposition whose search scratch every build threads
+# through and the core facade over those builds, plus their
 # concurrently-used dependencies); the full suite under -race is too slow
 # for a gate.
-RACE_PKGS := ./internal/serve/... ./internal/oracle/... ./internal/store/... \
+RACE_PKGS := ./internal/serve/... ./internal/store/... \
              ./internal/conn/ ./internal/asym/ ./internal/obs/ \
              ./internal/parallel/ ./internal/eulertour/ ./internal/graphio/ \
              ./internal/unionfind/ \

@@ -92,7 +92,7 @@ type benchDoc struct {
 // reproducibility contract of make bench-record.
 type benchConfig struct {
 	// Dispatch names the measured path: "fast" (in-process Engine.Do over
-	// the zero-alloc QueryOracle.Answer path) or "http" (the full HTTP
+	// the zero-alloc Engine.dispatch path) or "http" (the full HTTP
 	// /batch surface over the same path).
 	Dispatch        string   `json:"dispatch"`
 	Omega           int      `json:"omega"`

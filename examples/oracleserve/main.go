@@ -2,8 +2,8 @@
 // — the same engine cmd/oracled mounts over HTTP — and watch the paper's
 // cost metrics accumulate as live serving telemetry.
 //
-// The engine builds one oracle per factory registered in internal/oracle
-// (the two paper oracles are the built-ins), shards query batches across a
+// The engine builds the paper's two oracles — connectivity (Theorem 4.4)
+// and biconnectivity (Theorem 5.3) — shards query batches across a
 // bounded worker pool with per-worker cost meters, and aggregates per-kind
 // stats; queries stay write-free (one output write per answer is the only
 // asymmetric write in the serving path).

@@ -14,8 +14,8 @@
 //     probabilistically.
 //   - typederr: sentinel errors (conn.ErrNeedsRebuild, serve.ErrPersist,
 //     ...) must be tested with errors.Is, never == / != or string matching.
-//   - noallocpath: functions annotated //wec:noalloc (the
-//     QueryOracle.Answer query hot path) are checked for allocation-shaped constructs; the
+//   - noallocpath: functions annotated //wec:noalloc (the engine's
+//     query hot path) are checked for allocation-shaped constructs; the
 //     runtime testing.AllocsPerRun gate in internal/serve backs the static
 //     check with ground truth.
 //   - docstyle: the godoc-coverage rule of internal/lintdoc, run as an

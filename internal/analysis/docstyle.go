@@ -13,7 +13,6 @@ import (
 // the analysis suite itself.
 var DocPackages = []string{
 	"repro/internal/serve",
-	"repro/internal/oracle",
 	"repro/internal/conn",
 	"repro/internal/bicc",
 	"repro/internal/store",

@@ -6,9 +6,9 @@ import (
 	"go/types"
 )
 
-// NoAllocPath checks functions annotated //wec:noalloc — the
-// QueryOracle.Answer query hot path (serve.Engine.answer, the adapters'
-// Answer, the conn QueryS/ConnectedS pair, the decomp scratch BFS) whose
+// NoAllocPath checks functions annotated //wec:noalloc — the query hot
+// path (serve.Engine.answer and dispatch, the conn QueryS/ConnectedS pair,
+// the bicc scratch-taking queries, the decomp scratch BFS) whose
 // steady-state
 // "0 allocs/query" result is recorded in BENCH_query_hot_path.json — for
 // allocation-shaped constructs:

@@ -10,7 +10,7 @@ import (
 )
 
 // buildDyn builds an oracle with its explicit spanning forest seeded — the
-// shape the serving layer's conn factory produces.
+// shape the serving layer's conn build produces.
 func buildDyn(t *testing.T, g *graph.Graph, k int, seed uint64) *Oracle {
 	t.Helper()
 	m, c := env(16)
@@ -226,6 +226,10 @@ func TestInsertionsMaintainForest(t *testing.T) {
 	checkForestSpans(t, nx, g.N(), all)
 	if nx.ChainDepth() != 1 {
 		t.Fatalf("depth %d", nx.ChainDepth())
+	}
+	// The receiver is untouched (copy-on-write): still two components.
+	if !samePartition(oracleLabels(o, g.N(), 16), refLabels(g)) || o.ChainDepth() != 0 {
+		t.Fatal("receiver mutated by a merging ApplyInsertions")
 	}
 
 	// Deleting the merged bridge (3,4) must relink through (0,7).

@@ -268,8 +268,8 @@ func (o *Oracle) ApplyDeletions(m *asym.Meter, sym *asym.SymTracker, removed [][
 
 // EnsureForest seeds the oracle's explicit spanning forest from
 // spanning.Forest over its base graph's edge list, charging m. It must be
-// called before the oracle is shared (construction time — the factory or
-// test that built the oracle), and only on an unpatched oracle: a patched
+// called before the oracle is shared (construction time — the serving
+// engine or test that built the oracle), and only on an unpatched oracle: a patched
 // oracle's effective graph differs from its base graph, so a base-seeded
 // forest would be wrong. No-op when a forest is already present.
 //

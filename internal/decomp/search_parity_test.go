@@ -10,7 +10,7 @@ import (
 )
 
 // TestScratchChargesMatchNilScratch pins the cost half of the
-// QueryOracle.Answer scratch contract at the search layer: reusing a Scratch must not change charged
+// serving layer's worker-scratch contract at the search layer: reusing a Scratch must not change charged
 // costs. Rho early-exits mid-scan whenever a primary is hit partway through
 // an adjacency span, so this exercises exactly the partial-span charging
 // that a bulk up-front charge would get wrong. The cluster and

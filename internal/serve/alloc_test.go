@@ -9,7 +9,7 @@ import (
 
 // TestConnFastPathZeroAlloc is the runtime ground truth behind the
 // noallocpath static rule: the conn query path — Engine.answer through
-// oracle.QueryOracle.Answer with a warmed worker and label arena —
+// conn's ConnectedS/QueryS with a warmed worker and label arena —
 // performs zero allocations per query. Methodology matches BENCH_query_hot_path.json
 // (GOMAXPROCS=1, omega 64, seed 7): the recorded steady-state figure there
 // is 0 allocs/query with the small remainder amortized per-batch overhead,
@@ -21,7 +21,7 @@ func TestConnFastPathZeroAlloc(t *testing.T) {
 	defer e.Close()
 
 	s := e.snap.Load()
-	w := e.getWorker(s)
+	w := e.getWorker()
 	defer e.putWorker(w)
 	labels := make([]int32, 0, 1)
 	queries := []Query{
@@ -84,7 +84,7 @@ func TestBiccWarmPathAllocCeiling(t *testing.T) {
 	}
 	cursor := 0
 	runBatch := func(batch int) {
-		w := e.getWorker(s)
+		w := e.getWorker()
 		labels := make([]int32, 0, batch)
 		for j := 0; j < batch; j++ {
 			if r := e.answer(s, w, queryAt(cursor), &labels); r.Err != "" {

@@ -12,7 +12,7 @@ func TestUndersizedLabelArenaStaysValid(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			e := New(g, Config{Omega: 16, Seed: 5})
 			s := e.snap.Load()
-			w := e.getWorker(s)
+			w := e.getWorker()
 			defer e.putWorker(w)
 
 			const nq = 64

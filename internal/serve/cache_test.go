@@ -5,7 +5,6 @@ import (
 
 	"repro/internal/asym"
 	"repro/internal/graph"
-	"repro/internal/oracle"
 )
 
 // This file tests the serving layer's result memoization (the epoch-keyed
@@ -15,45 +14,27 @@ import (
 // charges — and a snapshot swap must invalidate every memoized result.
 
 // referenceDo answers qs with no caching at all, against the oracles of
-// e's current snapshot: each query calls its adapter directly with nil
-// scratch — the bicc adapter stripped of its cluster cache — and is charged
-// the one answer write the engine charges. It returns the results and the
-// per-kind Count/Errors/Cost the engine would report for the same queries.
+// e's current snapshot: each query is a direct oracle call with nil scratch
+// and no cluster cache (direct), charged the one answer write the engine
+// charges. It returns the results and the per-kind Count/Cost the engine
+// would report for the same queries.
 func referenceDo(t *testing.T, e *Engine, qs []Query) ([]Result, map[string]KindStats) {
 	t.Helper()
-	sn := e.snap.Load()
 	meters := map[Kind]*asym.Meter{}
 	stats := map[string]KindStats{}
 	out := make([]Result, len(qs))
 	for i, q := range qs {
-		ref, ok := e.byKind[q.Kind]
-		if !ok {
+		if kindIndex(q.Kind) < 0 {
 			t.Fatalf("reference: unknown kind %q", q.Kind)
-		}
-		o := sn.oracleAt(ref.fac)
-		if a, ok := o.(oracle.BiccAdapter); ok {
-			o = oracle.BiccAdapter{O: a.O}
 		}
 		if meters[q.Kind] == nil {
 			meters[q.Kind] = asym.NewMeter(e.omega)
 		}
 		m := meters[q.Kind]
+		out[i] = direct(e, m, asym.NewSymTracker(0), q)
+		m.Write(1)
 		ks := stats[string(q.Kind)]
-		av, err := o.Answer(m, asym.NewSymTracker(0), oracle.Query{Kind: q.Kind, U: q.U, V: q.V}, nil)
-		if err != nil {
-			ks.Errors++
-			out[i] = Result{Err: err.Error()}
-		} else {
-			m.Write(1)
-			ks.Count++
-			if av.IsBool {
-				b := av.Bool
-				out[i] = Result{Bool: &b}
-			} else {
-				l := av.Label
-				out[i] = Result{Label: &l}
-			}
-		}
+		ks.Count++
 		ks.Cost = m.Snapshot()
 		stats[string(q.Kind)] = ks
 	}
@@ -207,7 +188,7 @@ func BenchmarkResultCache(b *testing.B) {
 	for i := range keys {
 		keys[i] = rcKey{agg: int32(i % 6), u: int32(rng.Intn(1 << 16)), v: int32(rng.Intn(1 << 16))}
 	}
-	val := rcVal{av: oracle.AnswerVal{IsBool: true, Bool: true}, cost: asym.Cost{Reads: 900, Ops: 300}, peak: 64}
+	val := rcVal{ans: 1, cost: asym.Cost{Reads: 900, Ops: 300}, peak: 64}
 	filled := func() *resultCache {
 		c := newResultCache()
 		for _, k := range keys {

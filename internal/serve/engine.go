@@ -4,15 +4,15 @@
 // HTTP surface, all drawing query workers from one shared
 // admission-controlled Pool (pool.go).
 //
-// The engine no longer hardcodes the two paper oracles: it builds one
-// oracle per factory registered in internal/oracle (the connectivity oracle
-// of Theorem 4.4 and the biconnectivity oracle of Theorem 5.3 are the
-// built-ins) and dispatches queries by registered kind, so future oracles
-// (spanning forest, 2-edge-connectivity) plug in without engine changes.
+// The engine holds the paper's two query structures directly: the
+// connectivity oracle of Theorem 4.4 (conn.Oracle) answers the connected
+// and component kinds, the biconnectivity oracle of Theorem 5.3
+// (bicc.Oracle) the other four, and dispatch is one switch over the six
+// fixed kinds.
 //
 // The design follows the oracles' own cost discipline:
 //
-//   - Construction is charged to per-oracle meters (all factories build in
+//   - Construction is charged to per-oracle meters (conn and bicc build in
 //     parallel under one parallel.Ctx), so /stats can report the paper's
 //     construction write bounds as live telemetry.
 //   - Each worker queries with a private asym.Meter and asym.SymTracker —
@@ -30,9 +30,9 @@
 // lives in one snapshot behind an atomic pointer, edge-churn batches staged
 // through Update are folded into the next snapshot by a background rebuild
 // (update.go), and an atomic pointer swap publishes it — queries never
-// block on updates and always see a consistent graph. Insertion-only
-// batches take the write-efficient incremental path for every oracle that
-// implements oracle.InsertionApplier; the rest are rebuilt.
+// block on updates and always see a consistent graph. The conn oracle
+// patches most batches incrementally; bicc absorbs provable no-ops and
+// otherwise rebuilds lazily, at the first biconnectivity query.
 //
 // Batch dispatch is bounded: chunks run as tasks on the engine's Pool
 // (shared across graphs when the engine belongs to a Registry), and the
@@ -54,36 +54,68 @@ import (
 	"repro/internal/asym"
 	"repro/internal/bicc"
 	"repro/internal/conn"
+	"repro/internal/decomp"
 	"repro/internal/graph"
 	"repro/internal/obs"
-	"repro/internal/oracle"
 	"repro/internal/parallel"
 )
 
-// Kind names a query type served by the engine (an alias of the registry's
-// kind type; the constants below re-export the built-ins).
-type Kind = oracle.Kind
+// Kind names a query type served by the engine.
+type Kind string
 
-// The six built-in query kinds. Connected, Component and the spanning
-// structure behind them come from conn.Oracle (Thm 4.2/4.4); Bridge,
-// Articulation, Biconnected and TwoEdgeConnected from bicc.Oracle
-// (Thm 5.1/5.3/6.1).
+// The six query kinds. Connected and Component are served by the
+// Theorem 4.4 connectivity oracle (conn.Oracle); Bridge, Articulation,
+// Biconnected and TwoEdgeConnected by the Theorem 5.3 biconnectivity
+// oracle (bicc.Oracle). 2-edge connectivity is the §5.3 OneEdgeConnected
+// query: no single edge removal separates the pair.
 const (
-	KindConnected        = oracle.KindConnected
-	KindComponent        = oracle.KindComponent
-	KindBridge           = oracle.KindBridge
-	KindArticulation     = oracle.KindArticulation
-	KindBiconnected      = oracle.KindBiconnected
-	KindTwoEdgeConnected = oracle.KindTwoEdgeConnected
+	KindConnected        Kind = "connected"    // u, v — same component?
+	KindComponent        Kind = "component"    // u — canonical component label
+	KindBridge           Kind = "bridge"       // u, v — is edge {u,v} a bridge?
+	KindArticulation     Kind = "articulation" // u — is u a cut vertex?
+	KindBiconnected      Kind = "biconnected"  // u, v — biconnected pair?
+	KindTwoEdgeConnected Kind = "2ecc"         // u, v — same 2-edge-connected component?
 )
 
-// Kinds lists every query kind registered when package serve initialized,
-// in the registry's stable order (used for stats output and load-mix
-// parsing). Factories registered later — e.g. from a plugin package whose
-// init runs after serve's — are served by engines and reported by
-// Engine.Kinds / /info, but do not appear here; call oracle.Kinds() for
-// the live set.
-var Kinds = oracle.Kinds()
+// Kinds lists every query kind in its stable order: the connectivity kinds
+// first, then the biconnectivity kinds (the order of stats output, /info
+// and load-mix parsing). Callers must not modify it.
+var Kinds = []Kind{KindConnected, KindComponent, KindBridge, KindArticulation, KindBiconnected, KindTwoEdgeConnected}
+
+// Aggregate slots of the kinds, in Kinds order: the index of a kind's
+// per-kind meter, counters and latency histogram. The conn kinds come
+// before aggBridge, the bicc kinds from it on.
+const (
+	aggConnected = iota
+	aggComponent
+	aggBridge
+	aggArticulation
+	aggBiconnected
+	aggTwoEdgeConnected
+	numKinds
+)
+
+// kindIndex resolves a query kind to its aggregate slot; -1 for a kind the
+// engine does not serve.
+//
+//wec:noalloc
+func kindIndex(k Kind) int {
+	switch k {
+	case KindConnected:
+		return aggConnected
+	case KindComponent:
+		return aggComponent
+	case KindBridge:
+		return aggBridge
+	case KindArticulation:
+		return aggArticulation
+	case KindBiconnected:
+		return aggBiconnected
+	case KindTwoEdgeConnected:
+		return aggTwoEdgeConnected
+	}
+	return -1
+}
 
 // The per-query staleness contracts (Query.Staleness). Strict (the default)
 // answers from the current snapshot epoch, lazily rebuilding a deferred
@@ -161,16 +193,15 @@ type Config struct {
 	// lock, from the rebuild goroutine; keep it fast and non-blocking.
 	OnRebuild func(RebuildRecord)
 
-	// LazyBoot skips the initial construction of Deferrable oracles: the
-	// engine starts serving with those slots unbuilt (built-epoch -1) and
-	// constructs them on the first query of one of their kinds. The
-	// registry sets this for recovered graphs so a restart never pays
-	// boot-time bicc rebuilds that no query may need.
+	// LazyBoot skips the initial bicc build: the engine starts serving with
+	// bicc unbuilt (built-epoch -1) and constructs it on the first
+	// biconnectivity query. The registry sets this for recovered graphs so
+	// a restart never pays boot-time bicc rebuilds that no query may need.
 	LazyBoot bool
 
-	// RebaseEvery is the incremental patch-chain budget: an oracle whose
-	// chain depth (oracle.Rebaser) reaches it is re-based — rebuilt fresh
-	// over the current graph, collapsing its remap chain — instead of
+	// RebaseEvery is the incremental patch-chain budget: once the conn
+	// oracle's chain depth reaches it, the oracle is re-based — rebuilt
+	// fresh over the current graph, collapsing its remap chain — instead of
 	// patched again. Depth counts patch *generations*, each of which
 	// copies the persisted remap table once: a pure insertion or deletion
 	// batch is one generation, a mixed batch two (the insertion fold and
@@ -191,12 +222,12 @@ type Config struct {
 	// stay monotonic across restarts.
 	InitialSeq int64
 	// InitialForest, when non-nil, is a recovered spanning forest (store
-	// snapshot v2): after the oracles build, it is offered to every
-	// oracle.ForestCarrier together with InitialChainDepth, so the
-	// dynamic-update machinery resumes the persisted forest and re-base
-	// schedule instead of starting a fresh chain. A forest that fails
-	// validation against the recovered graph is dropped silently — the
-	// oracle keeps its own freshly seeded forest.
+	// snapshot v2): after the oracles build, the conn oracle adopts it
+	// together with InitialChainDepth, so the dynamic-update machinery
+	// resumes the persisted forest and re-base schedule instead of
+	// starting a fresh chain. A forest that fails validation against the
+	// recovered graph is dropped silently — the oracle keeps its own
+	// freshly seeded forest.
 	InitialForest [][2]int32
 	// InitialChainDepth is the recovered remap-chain depth adopted with
 	// InitialForest.
@@ -266,8 +297,8 @@ type Stats struct {
 	Workers       int `json:"workers"`
 	NumComponents int `json:"num_components"`
 	NumBCC        int `json:"num_bcc"`
-	// BuildCosts has every registered factory's construction cost, keyed
-	// by factory name ("conn", "bicc", plugged-in oracles).
+	// BuildCosts has each oracle's construction cost, keyed "conn" and
+	// "bicc".
 	BuildCosts   map[string]asym.Cost `json:"build_costs"`
 	Queries      map[string]KindStats `json:"queries"`
 	TotalQueries int64                `json:"total_queries"` // sum of Queries[*].Count
@@ -284,9 +315,9 @@ type Stats struct {
 	Pool      PoolStats      `json:"pool"`
 
 	// Dynamic-update telemetry (update.go). IncrementalRebuilds counts
-	// rebuilds whose summary strategy was a patch (patched-insert or
+	// rebuilds whose conn strategy was a patch (patched-insert or
 	// patched-delete); Strategies has the full per-oracle breakdown —
-	// factory name -> strategy -> cumulative count — which is what the
+	// oracle name -> strategy -> cumulative count — which is what the
 	// churn harnesses assert on ("zero full conn rebuilds").
 	Epoch               int64                       `json:"epoch"`
 	PendingUpdates      int                         `json:"pending_updates"`
@@ -301,14 +332,15 @@ type Stats struct {
 	EdgesRemoved   int64           `json:"edges_removed"`
 	Rebuilds       []RebuildRecord `json:"rebuilds,omitempty"`
 
-	// Deferred-rebuild telemetry. RebuildsAvoided counts publishes where a
-	// Deferrable oracle's rebuild was skipped (marked stale) instead of run;
-	// LazyRebuilds counts the on-demand rebuilds queries later forced, so
-	// RebuildsAvoided - LazyRebuilds is the net rebuild work the lazy path
-	// saved. OracleEpochs maps each factory to the epoch its serving oracle
-	// was last actually (re)built at: equal to Epoch when fresh, lagging it
-	// while stale, -1 when a lazily-booted oracle has never built. The gap
-	// Epoch - OracleEpochs[f] is the oracle's epoch lag.
+	// Deferred-rebuild telemetry. RebuildsAvoided counts publishes where the
+	// bicc rebuild was skipped (deferred or absorbed as a no-op) instead of
+	// run — every publish, as bicc never rebuilds on the publish path;
+	// LazyRebuilds counts the on-demand rebuilds queries later forced (the
+	// lazy bucket of the rebuild-duration histogram), so RebuildsAvoided -
+	// LazyRebuilds is the net rebuild work the lazy path saved. OracleEpochs maps each oracle to the epoch its serving
+	// instance was last actually (re)built at: equal to Epoch when fresh,
+	// lagging it while stale, -1 when a lazily-booted oracle has never
+	// built. The gap Epoch - OracleEpochs[o] is the oracle's epoch lag.
 	RebuildsAvoided int64            `json:"rebuilds_avoided"`
 	LazyRebuilds    int64            `json:"lazy_rebuilds"`
 	OracleEpochs    map[string]int64 `json:"oracle_epochs,omitempty"`
@@ -316,119 +348,82 @@ type Stats struct {
 
 // snapshot is the immutable per-epoch serving state. A snapshot is built
 // completely before its pointer is published; after that nothing in it
-// mutates, so readers never lock. oracles, costs, builtEpoch and lazy are
-// parallel to the engine's factory list.
+// mutates, so readers never lock.
 //
-// The one deliberate exception to "nothing mutates" is behind lazy: a
-// Deferrable oracle whose rebuild was skipped at publish time gets a
+// The conn oracle is always fresh. bicc is the one oracle whose rebuild is
+// deferred: when an update batch is not a provable bicc no-op, the publish
+// carries the previous bicc instance forward as *stale* and plants a
 // *lazySlot (lazy.go) — a separate mutable single-flight cell the first
-// matching query fills with the freshly built oracle. The snapshot's own
-// fields (including the slot pointer itself) never change; oracles[i] then
-// holds the carried-forward *stale* instance (nil if never built) and
-// builtEpoch[i] the epoch that instance was built at, which is what the
-// bounded-staleness answer path serves and reports.
+// biconnectivity query fills with a freshly built oracle. The snapshot's own
+// fields (including the slot pointer itself) never change; bicc then holds
+// the carried-forward stale instance (a nil oracle if never built) and
+// biccEpoch the epoch it was built at, which is what the bounded-staleness
+// answer path serves and reports.
 //
 //wec:immutable
 type snapshot struct {
-	epoch   int64
-	g       *graph.Graph
-	oracles []oracle.QueryOracle
-	costs   []asym.Cost
-	// builtEpoch[i] is the epoch oracles[i]'s state was built at (== epoch
-	// for a fresh oracle, lagging while deferred, -1 for never-built). A
-	// nil slice means every oracle is fresh.
-	builtEpoch []int64
-	// lazy[i], when non-nil, is factory i's deferred-rebuild cell for this
-	// snapshot. A nil slice means no oracle is deferred.
-	lazy []*lazySlot
+	epoch    int64
+	g        *graph.Graph
+	conn     *conn.Oracle
+	connCost asym.Cost
+	bicc     biccBuilt
+	// biccEpoch is the epoch bicc's state was built at: == epoch when
+	// fresh, lagging while deferred, -1 when never built.
+	biccEpoch int64
+	// biccLazy, when non-nil, is bicc's deferred-rebuild cell for this
+	// snapshot.
+	biccLazy *lazySlot
 }
 
-// newSnap assembles a snapshot. Every snapshot — initial build and
-// rebuild publishes — goes through here. builtEpoch nil means all-fresh;
-// lazy nil means no deferred slots.
-//
-//wec:mutator the snapshot constructor: the only writes before publication
-func newSnap(epoch int64, g *graph.Graph, os []oracle.QueryOracle, costs []asym.Cost, builtEpoch []int64, lazy []*lazySlot) *snapshot {
-	return &snapshot{epoch: epoch, g: g, oracles: os, costs: costs, builtEpoch: builtEpoch, lazy: lazy}
+// biccBuilt is one biconnectivity oracle together with the cluster cache
+// that lives and dies with it, and the cost of producing it. The cache is
+// created fresh with every build, so its contents can never cross oracle
+// generations. The zero value (nil oracle) is a never-built bicc.
+type biccBuilt struct {
+	o     *bicc.Oracle
+	cache *bicc.ClusterCache
+	cost  asym.Cost
 }
 
-// oracleAt returns the effective oracle of slot fi: the lazily built one
-// when the slot's query-triggered rebuild has happened, else the (possibly
-// stale, possibly nil) instance carried in oracles.
-func (s *snapshot) oracleAt(fi int) oracle.QueryOracle {
-	if s.lazy != nil && s.lazy[fi] != nil {
-		if lb := s.lazy[fi].built.Load(); lb != nil {
-			return lb.o
+// effectiveBicc returns the bicc instance the strict query path serves,
+// with the epoch its state was built at: the lazily built one at the
+// snapshot epoch when the slot's query-triggered rebuild has happened, else
+// the carried one at its tag (stale, or never built at -1). The slot is
+// loaded once, so the pair is coherent even while a lazy build races.
+func (s *snapshot) effectiveBicc() (biccBuilt, int64) {
+	if s.biccLazy != nil {
+		if lb := s.biccLazy.built.Load(); lb != nil {
+			return *lb, s.epoch
 		}
 	}
-	return s.oracles[fi]
+	return s.bicc, s.biccEpoch
 }
 
-// costAt returns the construction cost of the effective oracle of slot fi
-// (the lazy build's cost once it has run, else the carried build cost).
-func (s *snapshot) costAt(fi int) asym.Cost {
-	if s.lazy != nil && s.lazy[fi] != nil {
-		if lb := s.lazy[fi].built.Load(); lb != nil {
-			return lb.cost
-		}
+// liveBiccCaches calls f with the cluster cache of every bicc instance that
+// can still be serving answers for this snapshot: the carried base instance
+// (which bounded-staleness queries keep using even after a lazy build
+// replaced it on the strict path) and the lazily built one. Cache-counter
+// aggregation iterates these so no instance's telemetry goes dark before
+// publish-time folding retires it.
+func (s *snapshot) liveBiccCaches(f func(*bicc.ClusterCache)) {
+	if s.bicc.cache != nil {
+		f(s.bicc.cache)
 	}
-	return s.costs[fi]
-}
-
-// builtEpochAt returns the epoch the effective oracle of slot fi was built
-// at: the snapshot epoch once a lazy build has run (or when the slot was
-// never deferred), the carried tag while stale, -1 when never built.
-func (s *snapshot) builtEpochAt(fi int) int64 {
-	if s.lazy != nil && s.lazy[fi] != nil && s.lazy[fi].built.Load() != nil {
-		return s.epoch
-	}
-	if s.builtEpoch == nil {
-		return s.epoch
-	}
-	return s.builtEpoch[fi]
-}
-
-// liveOracles calls f with every oracle instance of slot fi that can still
-// be serving answers for this snapshot: the carried base instance (which
-// bounded-staleness queries keep using even after a lazy build replaced it
-// on the strict path) and the lazily built one. Cache-counter aggregation
-// iterates these so no instance's telemetry goes dark before publish-time
-// folding retires it.
-func (s *snapshot) liveOracles(fi int, f func(oracle.QueryOracle)) {
-	if o := s.oracles[fi]; o != nil {
-		f(o)
-	}
-	if s.lazy != nil && s.lazy[fi] != nil {
-		if lb := s.lazy[fi].built.Load(); lb != nil {
-			f(lb.o)
+	if s.biccLazy != nil {
+		if lb := s.biccLazy.built.Load(); lb != nil {
+			f(lb.cache)
 		}
 	}
 }
 
-// counts extracts the structure counters from whichever snapshot oracles
-// advertise them (shared by /stats and /info). A lazily-deferred oracle
-// that has never built contributes nothing (NumBCC reads 0 until the first
+// counts returns the structure counters shared by /stats and /info. A
+// never-built bicc contributes nothing (NumBCC reads 0 until the first
 // biconnectivity query forces its build).
 func (s *snapshot) counts() (components, bccs int) {
-	for fi := range s.oracles {
-		o := s.oracleAt(fi)
-		if o == nil {
-			continue
-		}
-		if cc, ok := o.(oracle.ComponentCounter); ok {
-			components = cc.NumComponents()
-		}
-		if bc, ok := o.(oracle.BCCCounter); ok {
-			bccs = bc.NumBCC()
-		}
+	if b, _ := s.effectiveBicc(); b.o != nil {
+		bccs = b.o.NumBCC
 	}
-	return components, bccs
-}
-
-// kindRef locates one kind's aggregate slot and owning oracle.
-type kindRef struct {
-	agg int // index into Engine.specs / Engine.kinds
-	fac int // index into Engine.factories / snapshot.oracles
+	return s.conn.NumComponents, bccs
 }
 
 // Engine is a thread-safe batched query service over one evolving graph.
@@ -446,11 +441,6 @@ type Engine struct {
 	onRebuild   func(RebuildRecord)
 	persist     GraphPersister
 
-	// Oracle dispatch, fixed at New from the process-wide registry.
-	factories []oracle.Factory
-	specs     []oracle.Spec
-	byKind    map[oracle.Kind]kindRef
-
 	// Worker pool + admission control.
 	pool        *Pool
 	maxInflight int64
@@ -461,8 +451,8 @@ type Engine struct {
 	snap atomic.Pointer[snapshot]
 
 	// wpool recycles worker state (per-kind meters, symmetric tracker,
-	// per-factory query scratch) across batch chunks, so steady-state
-	// serving allocates nothing per chunk.
+	// query scratches) across batch chunks, so steady-state serving
+	// allocates nothing per chunk.
 	wpool sync.Pool
 
 	// rcache is the epoch-keyed hot-pair result cache of the query path
@@ -477,12 +467,11 @@ type Engine struct {
 	ccMisses atomic.Int64
 	ccEvicts atomic.Int64
 
-	// Per-kind aggregates. The meters are shared long-lived accumulators
-	// (atomic internally); workers merge into them only at shard
-	// completion, so the per-query hot path touches worker-local state
-	// only.
-	kinds []kindAgg
-	disp  *asym.Meter // build/rebuild root-context overhead, not per-kind
+	// Per-kind aggregates, in Kinds order. The meters are shared
+	// long-lived accumulators (atomic internally); workers merge into them
+	// only at shard completion, so the per-query hot path touches
+	// worker-local state only.
+	kinds [numKinds]kindAgg
 
 	// Dynamic-update state (update.go). mu guards everything below plus
 	// the snap.Store in the rebuild loop; snap.Load never locks.
@@ -499,15 +488,9 @@ type Engine struct {
 
 	nRebuilds    int64
 	nIncremental int64
-	stratCounts  map[string]map[string]int64 // factory -> strategy -> rebuilds
+	stratCounts  map[string]map[string]int64 // oracle -> strategy -> rebuilds
 	edgesAdded   int64
 	edgesRemoved int64
-
-	// rebuildsAvoided counts publishes that skipped a Deferrable oracle's
-	// rebuild (lazy.go). An atomic because it is read outside mu. The
-	// on-demand builds queries later force are counted once, by the lazy
-	// bucket of the rebuild-duration histogram (metrics.go).
-	rebuildsAvoided atomic.Int64
 
 	// met holds the engine's pre-resolved metric handles (metrics.go).
 	// Assigned once in New after the first snapshot publishes, so the
@@ -515,8 +498,8 @@ type Engine struct {
 	met *engineMetrics
 
 	// testRebuildErr, when non-nil, lets white-box tests inject a rebuild
-	// failure (standing in for a plugged-in oracle whose rebuild errors —
-	// the path that must surface as ErrRebuildFailed, not a 400).
+	// failure (the path that must surface as ErrRebuildFailed, not a
+	// 400).
 	testRebuildErr func(next *graph.Graph) error
 }
 
@@ -526,10 +509,10 @@ type kindAgg struct {
 	meter  *asym.Meter
 }
 
-// New builds one oracle per registered factory over g and returns a ready
-// engine. The constructions run in parallel under one parallel.Ctx, each
-// charging its own meter, so the build parallelizes and the per-oracle
-// construction costs stay separable in /stats.
+// New builds the conn and bicc oracles over g and returns a ready engine.
+// The two constructions run in parallel, each charging its own meter, so
+// the build parallelizes and the per-oracle construction costs stay
+// separable in /stats.
 func New(g *graph.Graph, cfg Config) *Engine {
 	omega := cfg.Omega
 	if omega <= 0 {
@@ -568,132 +551,86 @@ func New(g *graph.Graph, cfg Config) *Engine {
 		pool:        pool,
 		maxInflight: int64(cfg.MaxInflight),
 		rcache:      newResultCache(),
-		disp:        asym.NewMeter(omega),
-		byKind:      map[oracle.Kind]kindRef{},
 		delta:       map[[2]int32]int{},
 		stratCounts: map[string]map[string]int64{},
 	}
 	e.cond = sync.NewCond(&e.mu)
-	e.factories = oracle.Factories()
-	for fi, f := range e.factories {
-		for _, s := range f.Specs {
-			e.byKind[s.Kind] = kindRef{agg: len(e.specs), fac: fi}
-			e.specs = append(e.specs, s)
-		}
-	}
-	e.kinds = make([]kindAgg, len(e.specs))
 	for i := range e.kinds {
 		e.kinds[i].meter = asym.NewMeter(omega)
 	}
-	var skip []bool
-	if cfg.LazyBoot {
-		for fi, f := range e.factories {
-			if f.Deferrable {
-				if skip == nil {
-					skip = make([]bool, len(e.factories))
-				}
-				skip[fi] = true
-			}
-		}
-	}
-	os, costs := e.buildOracles(g, skip)
+	co, connCost, bb := e.buildOracles(g, !cfg.LazyBoot)
 	if len(cfg.InitialForest) > 0 || cfg.InitialChainDepth > 0 {
-		// Recovery: offer the persisted forest + chain depth to every
-		// forest-carrying oracle. A forest the oracle rejects (stale
-		// against the recovered graph) is dropped — the fresh seed from
-		// the build stands, which is always correct, just a new chain.
-		for i, o := range os {
-			if fc, ok := o.(oracle.ForestCarrier); ok {
-				if adopted, err := fc.AdoptForest(cfg.InitialForest, cfg.InitialChainDepth); err == nil {
-					os[i] = adopted
-				}
-			}
+		// Recovery: adopt the persisted forest + chain depth. A forest the
+		// oracle rejects (stale against the recovered graph) is dropped —
+		// the fresh seed from the build stands, which is always correct,
+		// just a new chain.
+		if adopted, err := co.AdoptForest(cfg.InitialForest, cfg.InitialChainDepth); err == nil {
+			co = adopted
 		}
 	}
-	var builtEpoch []int64
-	var lazySlots []*lazySlot
-	if skip != nil {
-		builtEpoch = make([]int64, len(os))
-		lazySlots = make([]*lazySlot, len(os))
-		for i := range os {
-			builtEpoch[i] = cfg.InitialEpoch
-			if skip[i] {
-				builtEpoch[i] = -1 // never built; first matching query builds
-				lazySlots[i] = &lazySlot{}
-			}
-		}
+	biccEpoch, biccLazy := cfg.InitialEpoch, (*lazySlot)(nil)
+	if cfg.LazyBoot {
+		// Never built; the first biconnectivity query builds.
+		biccEpoch, biccLazy = -1, &lazySlot{}
 	}
-	e.snap.Store(newSnap(cfg.InitialEpoch, g, os, costs, builtEpoch, lazySlots))
+	e.snap.Store(&snapshot{epoch: cfg.InitialEpoch, g: g, conn: co, connCost: connCost, bicc: bb, biccEpoch: biccEpoch, biccLazy: biccLazy})
 	e.met = newEngineMetrics(cfg.Metrics, cfg.GraphName, e)
 	return e
 }
 
-// buildOracles constructs every factory's oracle over g in parallel,
-// returning them with their separable construction costs. Used for the
-// initial snapshot and for full rebuilds. A non-nil skip masks factories
-// to leave unbuilt (LazyBoot's deferred slots): their oracle stays nil
-// with a zero cost.
-//
-// A panicking Build is re-raised on the calling goroutine, named after its
-// factory, once every build has ended, and reaches the caller's recover
-// (the Registry parks the graph at StateFailed). A panic inside a build's
-// own parallel passes gets there too: parallel.Ctx re-raises a forked
-// branch's panic at its join.
-func (e *Engine) buildOracles(g *graph.Graph, skip []bool) ([]oracle.QueryOracle, []asym.Cost) {
-	os := make([]oracle.QueryOracle, len(e.factories))
-	ms := make([]*asym.Meter, len(e.factories))
-	for i := range ms {
-		ms[i] = asym.NewMeter(e.omega)
-	}
-	panics := make([]error, len(e.factories))
-	root := parallel.NewCtx(e.disp, nil)
-	root.SetGrain(1)
-	root.For(0, len(e.factories), func(_ *parallel.Ctx, i int) {
-		defer func() {
-			if r := recover(); r != nil {
-				panics[i] = fmt.Errorf("oracle %q build panicked: %v", e.factories[i].Name, r)
-			}
-		}()
-		if skip != nil && skip[i] {
-			return
+// buildOracles constructs the conn oracle, and bicc when withBicc is set,
+// over g in parallel, returning them with their separable construction
+// costs. Used for the initial snapshot. A panicking build is re-raised on
+// the calling goroutine once both builds have ended (parallel.Ctx.Fork2),
+// and reaches the caller's recover (the Registry parks the graph at
+// StateFailed).
+func (e *Engine) buildOracles(g *graph.Graph, withBicc bool) (co *conn.Oracle, connCost asym.Cost, bb biccBuilt) {
+	parallel.NewCtx(nil, nil).Fork2(func(*parallel.Ctx) {
+		m := asym.NewMeter(e.omega)
+		co = e.buildConn(graph.View{G: g, M: m})
+		connCost = m.Snapshot()
+	}, func(*parallel.Ctx) {
+		if withBicc {
+			bb = e.buildBicc(g)
 		}
-		c := parallel.NewCtx(ms[i], asym.NewSymTracker(e.sym))
-		os[i] = e.factories[i].Build(c, graph.View{G: g, M: ms[i]}, e.k, e.seed)
 	})
-	for _, p := range panics {
-		if p != nil {
-			panic(p)
-		}
-	}
-	costs := make([]asym.Cost, len(ms))
-	for i, m := range ms {
-		costs[i] = m.Snapshot()
-	}
-	return os, costs
+	return co, connCost, bb
 }
 
-// buildCosts returns every factory's snapshot build cost keyed by factory
-// name. For a deferred slot this is the cost of whatever build produced the
-// effective oracle — the carried one while stale, the lazy build's once it
-// has run, zero while never built.
-func (e *Engine) buildCosts(s *snapshot) map[string]asym.Cost {
-	out := make(map[string]asym.Cost, len(e.factories))
-	for fi, f := range e.factories {
-		out[f.Name] = s.costAt(fi)
-	}
-	return out
+// buildConn constructs the conn oracle over vw, charging vw.M. The explicit
+// spanning forest is part of the dynamic-capable oracle's construction (it
+// is what makes deletions patchable), so it is seeded here and charged to
+// the same meter — conn.BuildOracle itself stays pristine for the paper's
+// static cost bounds.
+func (e *Engine) buildConn(vw graph.View) *conn.Oracle {
+	o := conn.BuildOracle(parallel.NewCtx(vw.M, asym.NewSymTracker(e.sym)), vw, e.k, e.seed)
+	o.EnsureForest(vw.M)
+	return o
 }
 
-// oracleEpochs maps each factory to the epoch its effective oracle was
-// last actually built at (-1 for a never-built deferred slot) — the
-// per-oracle staleness surface of /stats, /info and the oracle_epoch
-// metric gauge.
-func (e *Engine) oracleEpochs(s *snapshot) map[string]int64 {
-	out := make(map[string]int64, len(e.factories))
-	for fi, f := range e.factories {
-		out[f.Name] = s.builtEpochAt(fi)
-	}
-	return out
+// buildBicc constructs a bicc oracle over g on a fresh meter, with a fresh
+// cluster cache.
+func (e *Engine) buildBicc(g *graph.Graph) biccBuilt {
+	m := asym.NewMeter(e.omega)
+	o := bicc.BuildOracle(parallel.NewCtx(m, asym.NewSymTracker(e.sym)), graph.View{G: g, M: m}, nil, e.k, e.seed)
+	return biccBuilt{o: o, cache: bicc.NewClusterCache(0), cost: m.Snapshot()}
+}
+
+// buildCosts returns each oracle's snapshot build cost. For bicc this is
+// the cost of whatever build produced the effective instance — the carried
+// one while stale, the lazy build's once it has run, zero while never
+// built.
+func (s *snapshot) buildCosts() map[string]asym.Cost {
+	b, _ := s.effectiveBicc()
+	return map[string]asym.Cost{"conn": s.connCost, "bicc": b.cost}
+}
+
+// oracleEpochs maps each oracle to the epoch its effective instance was
+// last actually built at (-1 for a never-built bicc) — the per-oracle
+// staleness surface of /stats, /info and the oracle_epoch metric gauge.
+func (s *snapshot) oracleEpochs() map[string]int64 {
+	_, built := s.effectiveBicc()
+	return map[string]int64{"conn": s.epoch, "bicc": built}
 }
 
 // Graph returns the currently served graph (the latest snapshot's).
@@ -747,16 +684,6 @@ func (e *Engine) K() int { return e.k }
 // Pool returns the worker pool this engine draws query workers from.
 func (e *Engine) Pool() *Pool { return e.pool }
 
-// Kinds returns the query kinds this engine serves (the kinds registered
-// at its construction), in dispatch order.
-func (e *Engine) Kinds() []Kind {
-	ks := make([]Kind, len(e.specs))
-	for i, s := range e.specs {
-		ks[i] = s.Kind
-	}
-	return ks
-}
-
 // Inflight returns the number of currently admitted requests.
 func (e *Engine) Inflight() int64 { return e.inflight.Load() }
 
@@ -779,43 +706,23 @@ func (e *Engine) clusterCacheCounts() (hits, misses, evicts int64) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	hits, misses, evicts = e.ccHits.Load(), e.ccMisses.Load(), e.ccEvicts.Load()
-	sn := e.snap.Load()
-	for fi := range sn.oracles {
-		sn.liveOracles(fi, func(o oracle.QueryOracle) {
-			if cs, ok := o.(oracle.CacheStatser); ok {
-				h, ms, ev := cs.CacheStats()
-				hits += h
-				misses += ms
-				evicts += ev
-			}
-		})
-	}
+	e.snap.Load().liveBiccCaches(func(cc *bicc.ClusterCache) {
+		h, ms, ev := cc.Stats()
+		hits += h
+		misses += ms
+		evicts += ev
+	})
 	return hits, misses, evicts
 }
 
-// Conn exposes the current snapshot's connectivity oracle (read-only use);
-// nil if no conn factory is registered.
-func (e *Engine) Conn() *conn.Oracle {
-	sn := e.snap.Load()
-	for fi := range sn.oracles {
-		if a, ok := sn.oracleAt(fi).(oracle.ConnAdapter); ok {
-			return a.O
-		}
-	}
-	return nil
-}
+// Conn exposes the current snapshot's connectivity oracle (read-only use).
+func (e *Engine) Conn() *conn.Oracle { return e.snap.Load().conn }
 
 // Bicc exposes the current snapshot's biconnectivity oracle (read-only
-// use); nil if no bicc factory is registered — or registered but deferred
-// and not yet lazily built.
+// use); nil while it is deferred and has never been built.
 func (e *Engine) Bicc() *bicc.Oracle {
-	sn := e.snap.Load()
-	for fi := range sn.oracles {
-		if a, ok := sn.oracleAt(fi).(oracle.BiccAdapter); ok {
-			return a.O
-		}
-	}
-	return nil
+	b, _ := e.snap.Load().effectiveBicc()
+	return b.o
 }
 
 // Admit reserves one in-flight request slot, returning the release func.
@@ -838,17 +745,16 @@ func (e *Engine) Admit() (release func(), err error) {
 
 // worker holds one shard's private cost-model state: a meter per query
 // kind, a symmetric-memory tracker, and one reusable query scratch per
-// oracle factory. Nothing here is shared until mergeInto.
+// oracle. Nothing here is shared until mergeInto. A scratch depends only on
+// the oracle's type, so a pooled worker's scratches stay valid across
+// snapshot swaps.
 type worker struct {
-	meters []*asym.Meter
-	counts []int64
-	errs   []int64
+	meters [numKinds]*asym.Meter
+	counts [numKinds]int64
+	errs   [numKinds]int64
 	sym    *asym.SymTracker
-	// scratch[fi] is the query scratch of factory fi (nil while the slot
-	// has no built oracle, or when its NewScratch returns nil). A scratch
-	// depends only on the oracle's type, so a pooled worker's scratch
-	// stays valid across snapshot swaps.
-	scratch []any
+	connSc *decomp.Scratch
+	biccSc *bicc.Scratch
 	// fillSym isolates the symmetric peak of one cache-filling query so it
 	// can be recorded for replay: it is Reset before each fill, and the
 	// observed peak is folded into sym (every query returns its footprint
@@ -859,10 +765,9 @@ type worker struct {
 
 func (e *Engine) newWorker() *worker {
 	w := &worker{
-		meters:  make([]*asym.Meter, len(e.specs)),
-		counts:  make([]int64, len(e.specs)),
-		errs:    make([]int64, len(e.specs)),
 		sym:     asym.NewSymTracker(e.sym),
+		connSc:  decomp.NewScratch(),
+		biccSc:  bicc.NewScratch(),
 		fillSym: asym.NewSymTracker(0),
 	}
 	for i := range w.meters {
@@ -871,27 +776,17 @@ func (e *Engine) newWorker() *worker {
 	return w
 }
 
-// getWorker takes a worker from the engine's pool (or builds one),
-// equipping it with per-factory query scratch on first use.
-func (e *Engine) getWorker(s *snapshot) *worker {
-	w, _ := e.wpool.Get().(*worker)
-	if w == nil {
-		w = e.newWorker()
+// getWorker takes a worker from the engine's pool, or builds one.
+func (e *Engine) getWorker() *worker {
+	if w, _ := e.wpool.Get().(*worker); w != nil {
+		return w
 	}
-	if w.scratch == nil {
-		w.scratch = make([]any, len(e.factories))
-		for i, o := range s.oracles {
-			if o != nil {
-				w.scratch[i] = o.NewScratch()
-			}
-		}
-	}
-	return w
+	return e.newWorker()
 }
 
 // putWorker resets the worker's accumulators (after mergeInto) and returns
-// it to the pool. The scratch is deliberately kept — its grown buffers are
-// the allocation win.
+// it to the pool. The scratches are deliberately kept — their grown
+// buffers are the allocation win.
 func (e *Engine) putWorker(w *worker) {
 	for i := range w.meters {
 		w.meters[i].Reset()
@@ -919,10 +814,10 @@ func (w *worker) mergeInto(e *Engine) {
 // the query that filled the entry.
 //
 //wec:noalloc
-func (w *worker) replay(m *asym.Meter, v rcVal) oracle.AnswerVal {
+func (w *worker) replay(m *asym.Meter, v rcVal) int32 {
 	m.Merge(v.cost)
 	w.sym.Fold(v.peak)
-	return v.av
+	return v.ans
 }
 
 // Shared Result.Bool targets: boolean answers point at one of these two
@@ -955,11 +850,9 @@ func (e *Engine) answer(s *snapshot, w *worker, q Query, labels *[]int32) Result
 
 // dispatch runs one query against the snapshot's oracles using the worker's
 // private meters, returning the result and the kind's aggregate index (-1
-// for an unknown kind). Dispatch is by registered kind: the spec supplies
-// the arity for validation, the kindRef the owning oracle. The single
-// m.Write(1) charges the store of the answer into the batch's result slice
-// (the output-sized write cost of the model); the oracles themselves write
-// nothing during queries.
+// for an unknown kind). The single m.Write(1) charges the store of the
+// answer into the batch's result slice (the output-sized write cost of the
+// model); the oracles themselves write nothing during queries.
 //
 // Results are built from shared bool words and the caller-owned label
 // arena labels instead of boxing a value per query. The arena must have
@@ -972,16 +865,17 @@ func (e *Engine) answer(s *snapshot, w *worker, q Query, labels *[]int32) Result
 //
 //wec:noalloc
 func (e *Engine) dispatch(s *snapshot, w *worker, q Query, labels *[]int32) (Result, int) {
-	ref, ok := e.byKind[q.Kind]
-	if !ok {
+	agg := kindIndex(q.Kind)
+	if agg < 0 {
 		// Unknown kinds are not attributable to a per-kind meter; count
 		// them under no kind and report the error.
 		return Result{Err: fmt.Sprintf("unknown query kind %q", q.Kind)}, -1 //wec:alloc malformed-query error path, not the hot answer path
 	}
 	n := int32(s.g.N())
-	if q.U < 0 || q.U >= n || (e.specs[ref.agg].Pairwise && (q.V < 0 || q.V >= n)) {
-		w.errs[ref.agg]++
-		return Result{Err: fmt.Sprintf("vertex out of range [0,%d)", n)}, ref.agg //wec:alloc malformed-query error path, not the hot answer path
+	pairwise := agg != aggComponent && agg != aggArticulation
+	if q.U < 0 || q.U >= n || (pairwise && (q.V < 0 || q.V >= n)) {
+		w.errs[agg]++
+		return Result{Err: fmt.Sprintf("vertex out of range [0,%d)", n)}, agg //wec:alloc malformed-query error path, not the hot answer path
 	}
 	bounded := false
 	switch q.Staleness {
@@ -989,76 +883,88 @@ func (e *Engine) dispatch(s *snapshot, w *worker, q Query, labels *[]int32) (Res
 	case StalenessBounded:
 		bounded = true
 	default:
-		w.errs[ref.agg]++
-		return Result{Err: fmt.Sprintf("unknown staleness %q", q.Staleness)}, ref.agg //wec:alloc malformed-query error path, not the hot answer path
+		w.errs[agg]++
+		return Result{Err: fmt.Sprintf("unknown staleness %q", q.Staleness)}, agg //wec:alloc malformed-query error path, not the hot answer path
 	}
-	// Resolve the serving oracle: one nil check for fresh slots; for a
-	// deferred slot, the lazily built instance, the stale one (bounded
-	// queries only), or the single-flight on-demand build (lazy.go). ep is
-	// the epoch the resolved oracle's state was built at — it keys the
-	// result table, so strict and bounded answers, and answers from
-	// different build generations, never share an entry.
-	qo, ep, err := e.resolveOracle(s, ref.fac, bounded)
-	if err != nil {
-		w.errs[ref.agg]++
-		return Result{Err: err.Error()}, ref.agg //wec:alloc lazy-build failure path, not the hot answer path
+	// Resolve the serving bicc instance: one nil check when fresh; while
+	// deferred, the lazily built instance, the stale one (bounded queries
+	// only), or the single-flight on-demand build (lazy.go). ep is the
+	// epoch the serving oracle's state was built at — it keys the result
+	// table, so strict and bounded answers, and answers from different
+	// build generations, never share an entry. conn is always fresh.
+	ep := s.epoch
+	var b *biccBuilt
+	if agg >= aggBridge {
+		var err error
+		if b, ep, err = e.resolveBicc(s, bounded); err != nil {
+			w.errs[agg]++
+			return Result{Err: err.Error()}, agg //wec:alloc lazy-build failure path, not the hot answer path
+		}
 	}
-	m := w.meters[ref.agg]
-	if w.scratch[ref.fac] == nil {
-		// A lazily-booted slot had no oracle to take a scratch from when
-		// this worker was equipped; fill it on first contact.
-		w.scratch[ref.fac] = qo.NewScratch() //wec:alloc one-time per-worker scratch fill after a lazy build
-	}
+	m := w.meters[agg]
 	// Result memoization: the engine's epoch-keyed shared table. Hits
 	// replay the memoized query's recorded cost and symmetric peak, so
 	// per-kind telemetry is identical to recomputing; misses compute,
-	// record, and publish. Errors are never memoized.
-	key := rcKey{agg: int32(ref.agg), u: q.U, v: q.V}
-	var av oracle.AnswerVal
+	// record, and publish. Boolean answers are stored as 0/1.
+	key := rcKey{agg: int32(agg), u: q.U, v: q.V}
+	var ans int32
 	if hit, ok := e.rcache.get(ep, key); ok {
 		e.rcHits.Add(1)
-		av = w.replay(m, hit)
+		ans = w.replay(m, hit)
 	} else {
 		e.rcMisses.Add(1)
 		before := m.Snapshot()
-		w.fillSym.Reset()
-		av, err = qo.Answer(m, w.fillSym, oracle.Query{Kind: q.Kind, U: q.U, V: q.V}, w.scratch[ref.fac])
+		sym := w.fillSym
+		sym.Reset()
+		var yes bool
+		switch agg {
+		case aggConnected:
+			yes = s.conn.ConnectedS(m, sym, w.connSc, q.U, q.V)
+		case aggComponent:
+			ans = s.conn.QueryS(m, sym, w.connSc, q.U)
+		case aggBridge:
+			yes = b.o.IsBridgeS(m, sym, w.biccSc, b.cache, q.U, q.V)
+		case aggArticulation:
+			yes = b.o.IsArticulationS(m, sym, w.biccSc, b.cache, q.U)
+		case aggBiconnected:
+			yes = b.o.BiconnectedS(m, sym, w.biccSc, b.cache, q.U, q.V)
+		case aggTwoEdgeConnected:
+			yes = b.o.OneEdgeConnectedS(m, sym, w.biccSc, b.cache, q.U, q.V)
+		}
+		if yes {
+			ans = 1
+		}
 		// Fold the fill's isolated peak into the worker tracker: queries
 		// return their footprint to zero, so the worker's high-water is the
 		// max of per-query peaks either way.
-		w.sym.Fold(w.fillSym.HighWater())
-		if err != nil {
-			w.errs[ref.agg]++
-			return Result{Err: err.Error()}, ref.agg
-		}
-		val := rcVal{av: av, cost: m.Snapshot().Sub(before), peak: w.fillSym.HighWater()}
-		if e.rcache.put(ep, key, val) {
+		w.sym.Fold(sym.HighWater())
+		if e.rcache.put(ep, key, rcVal{ans: ans, cost: m.Snapshot().Sub(before), peak: sym.HighWater()}) {
 			e.rcEvicts.Add(1)
 		}
 	}
 	m.Write(1) // store the answer (output-sized cost)
-	w.counts[ref.agg]++
+	w.counts[agg]++
 	var res Result
 	switch {
-	case av.IsBool && av.Bool:
+	case agg != aggComponent && ans != 0:
 		res = Result{Bool: boolTrue}
-	case av.IsBool:
+	case agg != aggComponent:
 		res = Result{Bool: boolFalse}
 	case len(*labels) < cap(*labels):
-		*labels = append(*labels, av.Label)
+		*labels = append(*labels, ans)
 		res = Result{Label: &(*labels)[len(*labels)-1]}
 	default:
 		// Undersized arena (a caller bug — both call sites size it to one
 		// slot per query): box this label rather than let append
 		// reallocate, which would silently dangle every previously returned
 		// Result.Label into the old array.
-		lbl := av.Label
+		lbl := ans
 		res = Result{Label: &lbl} //wec:alloc arena-overflow fallback; both call sites size the arena to avoid it
 	}
 	if bounded {
 		res.Epoch = ep
 	}
-	return res, ref.agg
+	return res, agg
 }
 
 // Do answers a batch of queries. The snapshot pointer is loaded once, so
@@ -1091,7 +997,7 @@ func (e *Engine) DoWait(queries []Query) ([]Result, time.Duration) {
 		if hi > len(queries) {
 			hi = len(queries)
 		}
-		w := e.getWorker(s)
+		w := e.getWorker()
 		// One label arena per chunk, sized so appends never reallocate
 		// (at most one label per query) — Result.Label pointers into it
 		// stay valid for the caller.
@@ -1111,7 +1017,7 @@ func (e *Engine) DoWait(queries []Query) ([]Result, time.Duration) {
 // round-trip).
 func (e *Engine) Query(q Query) Result {
 	s := e.snap.Load()
-	w := e.getWorker(s)
+	w := e.getWorker()
 	labels := make([]int32, 0, 1)
 	res := e.answer(s, w, q, &labels)
 	w.mergeInto(e)
@@ -1132,12 +1038,13 @@ func (e *Engine) Stats() Stats {
 		Omega:      e.omega,
 		K:          e.k,
 		Workers:    e.workers,
-		BuildCosts: e.buildCosts(sn),
-		Queries:    make(map[string]KindStats, len(e.specs)),
+		BuildCosts: sn.buildCosts(),
+		Queries:    make(map[string]KindStats, numKinds),
 		Epoch:      sn.epoch,
 	}
 	s.PendingUpdates = e.unapplied
 	s.TotalRebuilds = e.nRebuilds
+	s.RebuildsAvoided = e.nRebuilds
 	s.IncrementalRebuilds = e.nIncremental
 	if len(e.stratCounts) > 0 {
 		s.Strategies = make(map[string]map[string]int64, len(e.stratCounts))
@@ -1153,18 +1060,17 @@ func (e *Engine) Stats() Stats {
 	s.EdgesRemoved = e.edgesRemoved
 	s.Rebuilds = append([]RebuildRecord(nil), e.history...)
 	e.mu.Unlock()
-	s.RebuildsAvoided = e.rebuildsAvoided.Load()
 	s.LazyRebuilds = e.met.rebuildDur[StrategyLazy].Count()
-	s.OracleEpochs = e.oracleEpochs(sn)
+	s.OracleEpochs = sn.oracleEpochs()
 	s.NumComponents, s.NumBCC = sn.counts()
-	s.ConnChainDepth = connChainDepthOf(sn)
-	for i, spec := range e.specs {
+	s.ConnChainDepth = sn.conn.ChainDepth()
+	for i, kind := range Kinds {
 		ks := KindStats{
 			Count:  e.kinds[i].count.Load(),
 			Errors: e.kinds[i].errors.Load(),
 			Cost:   e.kinds[i].meter.Snapshot(),
 		}
-		s.Queries[string(spec.Kind)] = ks
+		s.Queries[string(kind)] = ks
 		s.TotalQueries += ks.Count
 	}
 	s.ResultCache = CacheStats{

@@ -91,20 +91,38 @@ func testGraphs(tb testing.TB) map[string]*graph.Graph {
 }
 
 // TestBatchMatchesDirect is the core equivalence check: batched concurrent
-// answers must be identical to single-threaded direct oracle calls.
+// answers must be identical to single-threaded direct oracle calls, and so
+// must the charged costs — per kind, the direct calls' summed cost plus one
+// answer write per query. The batch runs cold, then again warm, where
+// result-table and cluster-cache hits replay the charges of their fills.
 func TestBatchMatchesDirect(t *testing.T) {
 	for name, g := range testGraphs(t) {
 		t.Run(name, func(t *testing.T) {
 			e := New(g, Config{Omega: 16, Seed: 5})
+			defer e.Close()
 			qs := mixedQueries(g, 2000, 17)
-			got := e.Do(qs)
-			m := asym.NewMeter(e.Omega())
-			sym := asym.NewSymTracker(0)
-			for i, q := range qs {
-				want := direct(e, m, sym, q)
-				if !sameResult(got[i], want) {
-					t.Fatalf("query %d %s: batch=%+v direct=%+v", i, describe(q), got[i], want)
+			want, wantStats := referenceDo(t, e, qs)
+			prev := e.Stats()
+			for _, pass := range []string{"cold", "warm"} {
+				got := e.Do(qs)
+				for i, q := range qs {
+					if !sameResult(got[i], want[i]) {
+						t.Fatalf("%s query %d %s: batch=%+v direct=%+v", pass, i, describe(q), got[i], want[i])
+					}
 				}
+				st := e.Stats()
+				for _, k := range Kinds {
+					w := wantStats[string(k)]
+					gotCount := st.Queries[string(k)].Count - prev.Queries[string(k)].Count
+					gotCost := st.Queries[string(k)].Cost.Sub(prev.Queries[string(k)].Cost)
+					if gotCount != w.Count || gotCost != w.Cost {
+						t.Fatalf("%s %s: batch charged %d queries %+v, direct %d queries %+v", pass, k, gotCount, gotCost, w.Count, w.Cost)
+					}
+				}
+				if pass == "warm" && st.ResultCache.Hits == prev.ResultCache.Hits {
+					t.Fatal("warm pass never hit the result table")
+				}
+				prev = st
 			}
 		})
 	}

@@ -519,9 +519,9 @@ func infoOf(e *Engine) Info {
 		K:            e.k,
 		Workers:      e.workers,
 		Epoch:        sn.epoch,
-		Kinds:        e.Kinds(),
-		OracleEpochs: e.oracleEpochs(sn),
-		BuildCosts:   e.buildCosts(sn),
+		Kinds:        Kinds,
+		OracleEpochs: sn.oracleEpochs(),
+		BuildCosts:   sn.buildCosts(),
 	}
 	info.NumComponents, info.NumBCC = sn.counts()
 	info.Build = obs.Build()

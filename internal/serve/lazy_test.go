@@ -4,6 +4,7 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/bicc"
 	"repro/internal/graph"
 )
 
@@ -310,5 +311,83 @@ func TestLazyBootDefersBicc(t *testing.T) {
 	}
 	if st.BuildCosts["bicc"].Writes == 0 {
 		t.Fatal("deferred build cost did not surface in build_costs[bicc]")
+	}
+}
+
+// TestCarriedClusterCounters guards publish-time folding of cluster-cache
+// counters. A bicc instance carried into the next snapshot — absorbed as a
+// no-op, or deferred as stale — keeps its counters live and must not also
+// be folded into the engine's retired totals; an instance a lazy build
+// replaced retires exactly once. It also pins the snapshot's structure
+// counts.
+func TestCarriedClusterCounters(t *testing.T) {
+	g := graph.Disconnected(graph.Cycle(16), 4) // four cycles: one block each
+	e := New(g, Config{Omega: 16, Seed: 5, Workers: 1})
+	defer e.Close()
+	if st := e.Stats(); st.NumComponents != 4 || st.NumBCC != 4 {
+		t.Fatalf("counts: %d components, %d blocks; want 4 and 4", st.NumComponents, st.NumBCC)
+	}
+	countsOf := func(cc *bicc.ClusterCache) CacheStats {
+		h, m, ev := cc.Stats()
+		return CacheStats{Hits: h, Misses: m, Evictions: ev}
+	}
+	retired := func() CacheStats {
+		return CacheStats{Hits: e.ccHits.Load(), Misses: e.ccMisses.Load(), Evictions: e.ccEvicts.Load()}
+	}
+	update := func(u Update, wantBicc string) {
+		t.Helper()
+		before := e.Stats().Strategies["bicc"][wantBicc]
+		if _, err := e.Update(u, true); err != nil {
+			t.Fatalf("update %+v: %v", u, err)
+		}
+		if got := e.Stats().Strategies["bicc"][wantBicc]; got != before+1 {
+			t.Fatalf("update %+v: bicc did not take the %s rung", u, wantBicc)
+		}
+	}
+
+	e.Do(biccProbe(g.N(), 3))
+	first := e.snap.Load().bicc.cache
+	if st := e.Stats().ClusterCache; st.Misses == 0 || st != countsOf(first) {
+		t.Fatalf("before any publish: /stats %+v, live cache %+v", st, countsOf(first))
+	}
+
+	// A chord inside a cycle while bicc is fresh: absorbed, the instance
+	// and its cache carried; /stats is still exactly that cache's counts.
+	update(Update{Add: [][2]int32{{0, 5}}}, StrategyPatchedInsert)
+	if sn := e.snap.Load(); sn.bicc.cache != first || sn.biccLazy != nil {
+		t.Fatal("no-op chord did not carry the fresh bicc instance")
+	}
+	if st := e.Stats().ClusterCache; st != countsOf(first) {
+		t.Fatalf("after a no-op publish: /stats %+v, live cache %+v", st, countsOf(first))
+	}
+
+	// A cycle-edge removal defers bicc: the instance is carried stale.
+	update(Update{Remove: [][2]int32{{20, 21}}}, StrategyLazy)
+	if st := e.Stats().ClusterCache; st != countsOf(first) || retired() != (CacheStats{}) {
+		t.Fatalf("after a deferring publish: /stats %+v, live cache %+v, retired %+v", st, countsOf(first), retired())
+	}
+
+	// The lazy build adds a second live cache beside the stale one.
+	e.Do(biccProbe(g.N(), 4))
+	lb := e.snap.Load().biccLazy.built.Load()
+	if lb == nil {
+		t.Fatal("strict bicc queries did not build the deferred slot")
+	}
+	second := lb.cache
+	total := e.Stats().ClusterCache
+	if f, s := countsOf(first), countsOf(second); total != (CacheStats{f.Hits + s.Hits, f.Misses + s.Misses, f.Evictions + s.Evictions}) {
+		t.Fatalf("with two live caches: /stats %+v, caches %+v + %+v", total, f, s)
+	}
+
+	// The next publish retires the replaced instance once; the one after
+	// that must not retire it again.
+	for _, edge := range [][2]int32{{40, 41}, {60, 61}} {
+		update(Update{Remove: [][2]int32{edge}}, StrategyLazy)
+		if st := e.Stats().ClusterCache; st != total {
+			t.Fatalf("after removing %v: /stats %+v, want %+v", edge, st, total)
+		}
+		if retired() != countsOf(first) {
+			t.Fatalf("after removing %v: retired %+v, want the replaced instance's %+v once", edge, retired(), countsOf(first))
+		}
 	}
 }

@@ -18,10 +18,9 @@ import (
 //
 // Label cardinality is bounded by construction: graph names (validated by
 // graphNameRE, retired by Registry.Delete via DeleteLabeled), query kinds
-// (the oracle registry's fixed vocabulary), rebuild strategies (the five
-// ladder rungs), oracle names (registered factories), and cache layer
-// names. Per-request values — vertex ids,
-// batch contents — never become labels.
+// (the six of Kinds), rebuild strategies (the five ladder rungs), oracle
+// names (conn, bicc), and cache layer names. Per-request values — vertex
+// ids, batch contents — never become labels.
 
 // Cache layer label values of wec_cache_*_total.
 const (
@@ -36,9 +35,9 @@ type engineMetrics struct {
 	graph string
 	reg   *obs.Registry
 
-	// qdur is indexed by the kind's aggregate slot (Engine.kinds order) —
-	// the hot answer path reaches its histogram with one slice index.
-	qdur        []*obs.Histogram
+	// qdur is indexed by the kind's aggregate slot (Kinds order) — the hot
+	// answer path reaches its histogram with one array index.
+	qdur        [numKinds]*obs.Histogram
 	batchSize   *obs.Histogram
 	queueWait   *obs.Histogram
 	rebuildDur  map[string]*obs.Histogram // by strategy
@@ -58,13 +57,12 @@ func newEngineMetrics(reg *obs.Registry, graphName string, e *Engine) *engineMet
 
 	qdur := reg.NewHistogramVec("wec_query_duration_seconds",
 		"Per-query answer latency through the engine dispatch path.", nil, "graph", "kind")
-	m.qdur = make([]*obs.Histogram, len(e.specs))
 	queries := reg.NewFuncVec("wec_queries_total",
 		"Queries answered successfully.", obs.TypeCounter, "graph", "kind")
 	qerrors := reg.NewFuncVec("wec_query_errors_total",
 		"Queries rejected as malformed (unknown vertex, bad arity).", obs.TypeCounter, "graph", "kind")
-	for i, spec := range e.specs {
-		kind := string(spec.Kind)
+	for i, k := range Kinds {
+		kind := string(k)
 		m.qdur[i] = qdur.With(graphName, kind)
 		agg := &e.kinds[i]
 		queries.Set(func() float64 { return float64(agg.count.Load()) }, graphName, kind)
@@ -94,7 +92,11 @@ func newEngineMetrics(reg *obs.Registry, graphName string, e *Engine) *engineMet
 
 	reg.NewFuncVec("wec_rebuilds_avoided_total",
 		"Publishes at which a deferrable oracle skipped its eager rebuild (deferred lazily or absorbed as a provable no-op patch).", obs.TypeCounter, "graph").
-		Set(func() float64 { return float64(e.rebuildsAvoided.Load()) }, graphName)
+		Set(func() float64 {
+			e.mu.Lock()
+			defer e.mu.Unlock()
+			return float64(e.nRebuilds) // every publish skips the bicc rebuild
+		}, graphName)
 	reg.NewFuncVec("wec_lazy_rebuilds_total",
 		"Deferred oracle rebuilds actually performed on the query path (single-flight, first matching query pays).", obs.TypeCounter, "graph").
 		Set(func() float64 { return float64(m.rebuildDur[StrategyLazy].Count()) }, graphName)
@@ -104,10 +106,8 @@ func newEngineMetrics(reg *obs.Registry, graphName string, e *Engine) *engineMet
 		Set(func() float64 { return float64(e.snap.Load().epoch) }, graphName)
 	oep := reg.NewFuncVec("wec_oracle_epoch",
 		"Epoch each oracle's built state corresponds to; wec_published_epoch minus this is the oracle's staleness lag (-1 = never built).", obs.TypeGauge, "graph", "oracle")
-	for fi := range e.factories {
-		fi := fi
-		oep.Set(func() float64 { return float64(e.snap.Load().builtEpochAt(fi)) }, graphName, e.factories[fi].Name)
-	}
+	oep.Set(func() float64 { return float64(e.snap.Load().epoch) }, graphName, "conn")
+	oep.Set(func() float64 { _, built := e.snap.Load().effectiveBicc(); return float64(built) }, graphName, "bicc")
 	reg.NewFuncVec("wec_pending_batches",
 		"Staged update batches not yet folded into a snapshot.", obs.TypeGauge, "graph").
 		Set(func() float64 {

@@ -4,7 +4,6 @@ import (
 	"errors"
 
 	"repro/internal/graph"
-	"repro/internal/oracle"
 )
 
 // This file is the serving layer's durability seam. The engine and
@@ -73,8 +72,8 @@ type RegistryPersister interface {
 // promise, which is a server fault, not a client one).
 var ErrPersist = errors.New("serve: durable log write failed")
 
-// ErrRebuildFailed wraps a server-side rebuild failure (e.g. a plugged-in
-// oracle's rebuild erroring or panicking) reported to wait=true updaters.
+// ErrRebuildFailed wraps a server-side rebuild failure (e.g. an oracle
+// rebuild erroring or panicking) reported to wait=true updaters.
 // The HTTP layer maps it to 500: the batch was valid, the server failed to
 // apply it — the ROADMAP wart of reporting it as a 400 is gone.
 var ErrRebuildFailed = errors.New("serve: rebuild failed")
@@ -82,34 +81,7 @@ var ErrRebuildFailed = errors.New("serve: rebuild failed")
 // connDynOf extracts the connectivity oracle's dynamic state from a
 // snapshot: the label remap table (nil when empty), the maintained
 // spanning forest (nil when the oracle carries none), and the incremental
-// patch-chain depth. All zero values when no conn-like factory is
-// registered.
+// patch-chain depth.
 func connDynOf(s *snapshot) (remap map[int32]int32, forest [][2]int32, chainDepth int) {
-	for _, o := range s.oracles {
-		a, ok := o.(interface{ Remap() map[int32]int32 })
-		if !ok {
-			continue
-		}
-		remap = a.Remap()
-		if fc, ok := o.(oracle.ForestCarrier); ok {
-			forest = fc.ForestEdges()
-		}
-		if ct, ok := o.(interface{ ChainDepth() int }); ok {
-			chainDepth = ct.ChainDepth()
-		}
-		return remap, forest, chainDepth
-	}
-	return nil, nil, 0
-}
-
-// connChainDepthOf probes just the chain depth — the cheap slice of the
-// dynamic state for telemetry paths (/stats polls must not pay connDynOf's
-// remap copy and forest materialization to read one int).
-func connChainDepthOf(s *snapshot) int {
-	for _, o := range s.oracles {
-		if ct, ok := o.(interface{ ChainDepth() int }); ok {
-			return ct.ChainDepth()
-		}
-	}
-	return 0
+	return s.conn.Remap(), s.conn.ForestEdges(), s.conn.ChainDepth()
 }

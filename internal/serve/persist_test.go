@@ -205,7 +205,7 @@ func TestRebuildFailureTyped(t *testing.T) {
 	p := &memPersist{}
 	e := New(g, Config{Omega: 8, Seed: 3, Persist: p})
 	defer e.Close()
-	boom := errors.New("plugged-in oracle exploded")
+	boom := errors.New("oracle rebuild exploded")
 	// The hook pointer is installed before the first Update (which starts
 	// the rebuild goroutine), and the toggle is atomic, so the rebuild
 	// goroutine never races a hook rewrite.

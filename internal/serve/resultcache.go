@@ -4,7 +4,6 @@ import (
 	"sync"
 
 	"repro/internal/asym"
-	"repro/internal/oracle"
 )
 
 // This file implements the engine's epoch-keyed hot-pair result cache: a
@@ -26,17 +25,18 @@ import (
 // striped lock, one slot compare — no allocation, no LRU bookkeeping. A
 // colliding hot pair evicts its predecessor (counted in /stats).
 
-// rcKey identifies one query result within an epoch. agg is the engine's
-// aggregate kind index (stable for the engine's lifetime), so the key is
-// three int32s — comparable and pointer-free.
+// rcKey identifies one query result within an epoch. agg is the kind's
+// aggregate slot, so the key is three int32s — comparable and
+// pointer-free.
 type rcKey struct {
 	agg  int32
 	u, v int32
 }
 
-// rcVal is one memoized answer with the charges its fill recorded.
+// rcVal is one memoized answer — the component label, or 0/1 for a
+// boolean kind — with the charges its fill recorded.
 type rcVal struct {
-	av   oracle.AnswerVal
+	ans  int32
 	cost asym.Cost
 	peak int64
 }

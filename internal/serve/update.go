@@ -3,12 +3,12 @@ package serve
 import (
 	"errors"
 	"fmt"
-	"reflect"
 	"time"
 
 	"repro/internal/asym"
+	"repro/internal/bicc"
+	"repro/internal/conn"
 	"repro/internal/graph"
-	"repro/internal/oracle"
 	"repro/internal/parallel"
 )
 
@@ -19,35 +19,41 @@ import (
 // current snapshot keeps answering queries for the whole rebuild — updates
 // never block reads.
 //
-// Strategy selection is a per-oracle ladder, chosen per coalesced batch
+// Strategy selection is one ladder per oracle, chosen per coalesced batch
 // (the new graph CSR is written in every case — full rebuilds and the
-// deletion path's replacement search need it):
+// deletion path's replacement search need it). The two ladders run in
+// parallel.
 //
-//   patch-insert   insertion-only batch, oracle implements
-//                  oracle.InsertionApplier: the connectivity oracle's
-//                  O(#merged-components)-write label merge.
-//   patch-delete   batch contains removals, oracle implements
-//                  oracle.DeletionApplier (and InsertionApplier when the
-//                  batch also adds): spanning-forest maintenance absorbs
-//                  every removal that preserves connectivity; a genuine
-//                  component split (typed oracle.ErrNeedsRebuild) steps
-//                  down one rung to a full rebuild of that oracle.
-//   rebased        the oracle's incremental patch chain reached
-//                  Config.RebaseEvery: one reconstruction over the current
-//                  graph collapses the remap chain and reseeds the forest
-//                  (oracle.Rebaser), scheduled before the chain's per-batch
-//                  copy cost outgrows its savings.
-//   lazy           the factory is Deferrable and the batch is not a provable
-//                  no-op for it: the previous instance is carried forward as
-//                  stale (tagged with its built epoch) and a lazySlot is
+// conn (never deferred — its kinds gate admission semantics):
+//
+//   rebased        the incremental patch chain reached Config.RebaseEvery:
+//                  one reconstruction over the current graph collapses the
+//                  remap chain and reseeds the forest, scheduled before the
+//                  chain's per-batch copy cost outgrows its savings.
+//   patched-insert insertion-only batch: the O(#merged-components)-write
+//                  label merge (conn.Oracle.ApplyInsertions).
+//   patched-delete batch contains removals: the adds fold in first, then
+//                  spanning-forest maintenance absorbs every removal that
+//                  preserves connectivity (conn.Oracle.ApplyDeletions); a
+//                  genuine component split (conn.ErrNeedsRebuild) steps
+//                  down one rung to full.
+//   full           a fresh conn build over the new graph.
+//
+// bicc (deferred):
+//
+//   patched-insert, patched-delete
+//                  bicc is fresh and every edit of the batch is a provable
+//                  no-op for the block-cut tree (bicc.Oracle.InsertionIsNoop,
+//                  DeletionIsNoop): the instance, with its cluster cache,
+//                  is carried into the new snapshot as fresh.
+//   lazy           everything else: the previous instance is carried forward
+//                  as stale (tagged with its built epoch) and a lazySlot is
 //                  planted in the new snapshot. Nothing is built on the
-//                  publish path; the first query of one of the factory's
-//                  kinds pays for one single-flight rebuild (lazy.go).
-//                  Biconnectivity is neither insertion- nor deletion-
-//                  monotone, so this is its rung for every batch it cannot
-//                  prove structure-preserving — a conn-only workload churns
-//                  forever without ever rebuilding bicc.
-//   full           everything else.
+//                  publish path; the first biconnectivity query pays for
+//                  one single-flight rebuild (lazy.go). Biconnectivity is
+//                  neither insertion- nor deletion-monotone, so a
+//                  conn-only workload churns forever without ever
+//                  rebuilding bicc.
 //
 // Per-rebuild asymmetric costs (graph / conn / bicc, separately metered),
 // the per-oracle strategies taken, and cumulative per-oracle strategy
@@ -55,23 +61,23 @@ import (
 // /stats — how the write savings of the incremental paths are measured
 // (and asserted by the churn harnesses) end to end.
 
-// Rebuild strategies recorded per oracle in RebuildRecord.Strategies and
-// summarized in RebuildRecord.Strategy.
+// Rebuild strategies recorded per oracle in RebuildRecord.Strategies.
 const (
 	StrategyPatchedInsert = "patched-insert"
 	StrategyPatchedDelete = "patched-delete"
 	StrategyRebased       = "rebased"
 	StrategyFull          = "full"
-	// StrategyLazy marks a Deferrable oracle whose rebuild was skipped at
-	// publish time and deferred to the first matching query (lazy.go). Its
-	// label also keys the rebuild-duration histogram bucket those deferred,
+	// StrategyLazy marks a bicc rebuild skipped at publish time and
+	// deferred to the first biconnectivity query (lazy.go). Its label also
+	// keys the rebuild-duration histogram bucket those deferred,
 	// query-triggered builds observe into.
 	StrategyLazy = "lazy"
 )
 
 // DefaultRebaseEvery is the chain-depth budget selected by
-// Config.RebaseEvery = 0: an oracle whose incremental patch chain reaches
-// this depth is re-based (fresh decomposition) instead of patched again.
+// Config.RebaseEvery = 0: a conn oracle whose incremental patch chain
+// reaches this depth is re-based (fresh decomposition) instead of patched
+// again.
 const DefaultRebaseEvery = 64
 
 // ErrClosed is returned by Update after Close.
@@ -106,18 +112,17 @@ type UpdateStatus struct {
 }
 
 // RebuildRecord is the telemetry of one background rebuild attempt.
-// Strategy summarizes the batch (the most incremental rung any oracle
-// worked on the publish path; "lazy" only when every oracle deferred);
-// Strategies records the rung each oracle actually took, keyed by factory
-// name. The costs are the publish path's own metered work: a lazily
-// deferred oracle contributes only its refused patch attempt (often zero) —
-// the deferred build's cost surfaces later on the snapshot's build-cost
-// side (/stats build_costs), not here. OracleCosts has every registered
-// factory's cost, keyed by factory name.
+// Strategy is the rung the conn oracle took (bicc's rung never does publish
+// work worth a headline); Strategies records the rung each oracle actually
+// took, keyed "conn" and "bicc". The costs are the publish path's own
+// metered work: a deferred bicc contributes only its refused patch attempt
+// (often zero) — the deferred build's cost surfaces later on the snapshot's
+// build-cost side (/stats build_costs), not here. OracleCosts has each
+// oracle's cost, keyed the same way.
 type RebuildRecord struct {
 	Epoch        int64                `json:"epoch"`
-	Strategy     string               `json:"strategy"`             // patched-insert | patched-delete | rebased | lazy | full
-	Strategies   map[string]string    `json:"strategies,omitempty"` // factory name -> strategy taken
+	Strategy     string               `json:"strategy"`             // patched-insert | patched-delete | rebased | full
+	Strategies   map[string]string    `json:"strategies,omitempty"` // oracle name -> strategy taken
 	Batches      int                  `json:"batches"`              // update batches coalesced in
 	AddedEdges   int                  `json:"added_edges"`
 	RemovedEdges int                  `json:"removed_edges"`
@@ -267,42 +272,27 @@ func (e *Engine) rebuildLoop() {
 
 		e.mu.Lock()
 		if err == nil {
-			// The outgoing snapshot's oracle-side cache counters retire into
-			// the engine accumulators so /stats stays cumulative across
-			// swaps (the caches themselves are rebuilt with their oracles —
-			// that is the epoch invalidation rule). Instances carried into
-			// the next snapshot — a deferred oracle's stale base, a
-			// no-op-patched adapter that returned itself — are skipped: their
-			// counters stay live and folding them now would double-count.
-			for fi := range cur.oracles {
-				cur.liveOracles(fi, func(o oracle.QueryOracle) {
-					if oracleSame(o, next.oracles[fi]) {
-						return
-					}
-					if cs, ok := o.(oracle.CacheStatser); ok {
-						h, ms, ev := cs.CacheStats()
-						e.ccHits.Add(h)
-						e.ccMisses.Add(ms)
-						e.ccEvicts.Add(ev)
-					}
-				})
-			}
+			// The outgoing snapshot's cluster-cache counters retire into the
+			// engine accumulators so /stats stays cumulative across swaps
+			// (the caches themselves are rebuilt with their oracles — that is
+			// the epoch invalidation rule). A cache carried into the next
+			// snapshot — a deferred bicc's stale base, a no-op-patched
+			// instance — is skipped: its counters stay live and folding them
+			// now would double-count.
+			cur.liveBiccCaches(func(cc *bicc.ClusterCache) {
+				if cc == next.bicc.cache {
+					return
+				}
+				h, ms, ev := cc.Stats()
+				e.ccHits.Add(h)
+				e.ccMisses.Add(ms)
+				e.ccEvicts.Add(ev)
+			})
 			e.snap.Store(next)
 			e.pubSeq = batches[len(batches)-1].seq
 			e.nRebuilds++
-			if rec.Strategy == StrategyPatchedInsert || rec.Strategy == StrategyPatchedDelete || rec.Strategy == StrategyLazy {
+			if rec.Strategy == StrategyPatchedInsert || rec.Strategy == StrategyPatchedDelete {
 				e.nIncremental++
-			}
-			for i := range e.factories {
-				if !e.factories[i].Deferrable {
-					continue
-				}
-				switch rec.Strategies[e.factories[i].Name] {
-				case StrategyLazy, StrategyPatchedInsert, StrategyPatchedDelete:
-					// Either rung means this publish skipped the eager
-					// rebuild the pre-deferral engine would have paid for.
-					e.rebuildsAvoided.Add(1)
-				}
 			}
 			for name, s := range rec.Strategies {
 				if e.stratCounts[name] == nil {
@@ -373,109 +363,10 @@ func (e *Engine) rebuildLoop() {
 	}
 }
 
-// planStrategy picks factory fi's rung on the update-strategy ladder for a
-// batch of the given shape.
-//
-// Deferrable factories walk the deferred sub-ladder: attempt the no-op
-// patch when the effective instance is fresh — the patch predicates answer
-// about the instance's *own* graph, so testing a stale instance against a
-// newer batch would be unsound — and otherwise go lazy, carrying the
-// instance forward as stale for the first query to rebuild. Everything
-// else walks the eager ladder: rebase when the patch chain hit its
-// budget, else the cheapest patch the oracle's capabilities and the batch
-// shape allow, else a full rebuild.
-//
-// The plan is provisional — inside the build, patch-delete steps down to
-// full when the oracle refuses the batch with oracle.ErrNeedsRebuild (a
-// genuine component split), and a deferrable oracle's refused patch steps
-// down to lazy, never to a publish-path rebuild.
-func (e *Engine) planStrategy(fi int, cur *snapshot, hasAdds, hasRemovals bool) string {
-	o := cur.oracleAt(fi)
-	if e.factories[fi].Deferrable {
-		if o != nil && cur.builtEpochAt(fi) == cur.epoch {
-			if !hasRemovals {
-				if _, ok := o.(oracle.InsertionApplier); ok {
-					return StrategyPatchedInsert
-				}
-			} else if _, ok := o.(oracle.DeletionApplier); ok {
-				if !hasAdds {
-					return StrategyPatchedDelete
-				}
-				if _, ok := o.(oracle.InsertionApplier); ok {
-					return StrategyPatchedDelete
-				}
-			}
-		}
-		return StrategyLazy
-	}
-	if e.rebaseEvery > 0 {
-		if rb, ok := o.(oracle.Rebaser); ok && rb.ChainDepth() >= e.rebaseEvery {
-			return StrategyRebased
-		}
-	}
-	if !hasRemovals {
-		if _, ok := o.(oracle.InsertionApplier); ok {
-			return StrategyPatchedInsert
-		}
-		return StrategyFull
-	}
-	if _, ok := o.(oracle.DeletionApplier); ok {
-		if !hasAdds {
-			return StrategyPatchedDelete
-		}
-		if _, ok := o.(oracle.InsertionApplier); ok {
-			return StrategyPatchedDelete
-		}
-	}
-	return StrategyFull
-}
-
-// summarizeStrategies collapses the per-oracle strategies into the record's
-// headline: the most incremental rung a non-deferred oracle *worked* on the
-// publish path. Deferrable oracles' entries are skipped entirely: their
-// lazy rung did no publish work, and their no-op patch absorptions are
-// read-only predicate checks — letting either outrank, say, a conn rebase
-// would make the headline (and the incremental-rebuild counter it drives)
-// depend on batch shapes the eager ladder never sees. Only a batch that
-// defers every oracle summarizes as lazy.
-func (e *Engine) summarizeStrategies(strategies []string) string {
-	rank := map[string]int{StrategyFull: 0, StrategyRebased: 1, StrategyPatchedDelete: 2, StrategyPatchedInsert: 3}
-	best := ""
-	for i, s := range strategies {
-		if e.factories[i].Deferrable {
-			continue
-		}
-		if best == "" || rank[s] > rank[best] {
-			best = s
-		}
-	}
-	if best == "" {
-		return StrategyLazy
-	}
-	return best
-}
-
-// oracleSame reports whether two oracle instances are the same carried
-// value. Adapter patches that absorb a batch as a provable no-op return the
-// receiver unchanged, so identity comparison is the signal that an instance
-// survived into the next snapshot. Non-comparable dynamic types (a
-// plugged-in oracle holding a map or slice directly) can't be carried-same
-// in that sense, so they compare false instead of panicking.
-func oracleSame(a, b oracle.QueryOracle) bool {
-	if a == nil || b == nil {
-		return false
-	}
-	ta := reflect.TypeOf(a)
-	if ta != reflect.TypeOf(b) || !ta.Comparable() {
-		return false
-	}
-	return a == b
-}
-
-// buildNext folds the staged batches into a new snapshot, walking the
-// update-strategy ladder independently for every oracle (see the file
-// header). The new graph CSR is written in every case — full rebuilds need
-// it and the deletion path's replacement search runs over it.
+// buildNext folds the staged batches into a new snapshot, walking the conn
+// and bicc ladders in parallel (see the file header). The new graph CSR is
+// written in every case — full rebuilds need it and the deletion path's
+// replacement search runs over it.
 func (e *Engine) buildNext(cur *snapshot, batches []*updateBatch) (*snapshot, RebuildRecord, error) {
 	rec := RebuildRecord{Epoch: cur.epoch + 1, Batches: len(batches), Strategy: StrategyFull}
 
@@ -506,154 +397,127 @@ func (e *Engine) buildNext(cur *snapshot, batches []*updateBatch) (*snapshot, Re
 		}
 	}
 
-	hasAdds, hasRemovals := ov.Added() > 0, ov.Removed() > 0
-	nf := len(e.factories)
-	ms := make([]*asym.Meter, nf)
-	os := make([]oracle.QueryOracle, nf)
-	errs := make([]error, nf)
-	strategies := make([]string, nf)
-	for i := range ms {
-		ms[i] = asym.NewMeter(e.omega)
-		strategies[i] = e.planStrategy(i, cur, hasAdds, hasRemovals)
-	}
-	root := parallel.NewCtx(e.disp, nil)
-	root.SetGrain(1)
-	root.For(0, nf, func(_ *parallel.Ctx, i int) {
-		// A panicking rebuild branch runs on a fork-spawned goroutine with
-		// no recover above it; capture it as this rebuild's error (the
-		// batches drop, the old snapshot keeps serving) instead of letting
-		// it kill the process.
+	var (
+		co                   *conn.Oracle
+		connCost             asym.Cost
+		connStrat, biccStrat string
+		bb                   biccBuilt
+		biccEpoch            int64
+		err                  error
+	)
+	bm := asym.NewMeter(e.omega)
+	func() {
+		// A panicking ladder is re-raised here, at the join; capture it as
+		// this rebuild's error (the batches drop, the old snapshot keeps
+		// serving) instead of letting it kill the process.
 		defer func() {
 			if r := recover(); r != nil {
-				errs[i] = fmt.Errorf("oracle %q rebuild panicked: %v", e.factories[i].Name, r)
+				err = fmt.Errorf("oracle rebuild panicked: %v", r)
 			}
 		}()
-		switch strategies[i] {
-		case StrategyLazy:
-			// Nothing happens on the publish path; the assembly below
-			// carries the stale instance forward and plants the slot.
-			return
-		case StrategyPatchedInsert:
-			ia := cur.oracleAt(i).(oracle.InsertionApplier)
-			o, err := ia.ApplyInsertions(ms[i], asym.NewSymTracker(e.sym), adds)
-			if err == nil {
-				os[i] = o
-				return
-			}
-			if !errors.Is(err, oracle.ErrNeedsRebuild) {
-				errs[i] = err
-				return
-			}
-			if e.factories[i].Deferrable {
-				// The oracle refused the patch (an insertion merges blocks):
-				// a deferrable oracle steps down to the lazy rung, never to
-				// a publish-path rebuild. The refused attempt's charges stay
-				// on ms[i] — they are real publish work and show up in the
-				// record's costs.
-				strategies[i] = StrategyLazy
-				return
-			}
-			// A typed refusal is a ladder step-down by contract, not a
-			// failure: fall through to a full rebuild on a fresh meter so
-			// the recorded cost is the rebuild's, not attempt + rebuild.
-			strategies[i] = StrategyFull
-			ms[i] = asym.NewMeter(e.omega)
-		case StrategyPatchedDelete:
-			sym := asym.NewSymTracker(e.sym)
-			patched := cur.oracleAt(i)
-			var err error
-			if len(adds) > 0 {
-				// Coalesced-batch order: all adds fold in first (they can
-				// only merge), then the removals run against the final
-				// multiset — the same end state as replaying the batches.
-				patched, err = patched.(oracle.InsertionApplier).ApplyInsertions(ms[i], sym, adds)
-			}
-			if err == nil {
-				os[i], err = patched.(oracle.DeletionApplier).ApplyDeletions(ms[i], sym, removes, newG)
-			}
-			if err == nil {
-				return
-			}
-			if !errors.Is(err, oracle.ErrNeedsRebuild) {
-				errs[i] = err
-				return
-			}
-			if e.factories[i].Deferrable {
-				// Refused patch on a deferrable oracle: defer, don't rebuild.
-				strategies[i] = StrategyLazy
-				return
-			}
-			// A deletion genuinely split a component: step down the ladder
-			// to a full rebuild of this oracle (fresh meter so the recorded
-			// cost is the rebuild's, not patch-attempt + rebuild).
-			strategies[i] = StrategyFull
-			ms[i] = asym.NewMeter(e.omega)
-		case StrategyRebased:
-			rb := cur.oracleAt(i).(oracle.Rebaser)
-			c := parallel.NewCtx(ms[i], asym.NewSymTracker(e.sym))
-			os[i] = rb.Rebase(c, graph.View{G: newG, M: ms[i]}, e.k, e.seed)
-			return
-		}
-		c := parallel.NewCtx(ms[i], asym.NewSymTracker(e.sym))
-		os[i] = e.factories[i].Build(c, graph.View{G: newG, M: ms[i]}, e.k, e.seed)
-	})
-	for _, err := range errs {
-		if err != nil { // staging validation makes this unreachable
-			rec.Epoch = cur.epoch
-			return nil, rec, err
-		}
+		parallel.NewCtx(nil, nil).Fork2(func(*parallel.Ctx) {
+			co, connCost, connStrat, err = e.connLadder(cur.conn, adds, removes, newG)
+		}, func(*parallel.Ctx) {
+			bb, biccEpoch, biccStrat = e.biccLadder(cur, bm, adds, removes, newG)
+		})
+	}()
+	if err != nil { // staging validation makes this unreachable
+		rec.Epoch = cur.epoch
+		return nil, rec, err
 	}
-	rec.Strategies = make(map[string]string, nf)
-	for i, f := range e.factories {
-		rec.Strategies[f.Name] = strategies[i]
+	rec.Strategy = connStrat
+	rec.Strategies = map[string]string{"conn": connStrat, "bicc": biccStrat}
+	// The record's costs are the publish path's own work — identical to
+	// the snapshot build cost for conn and a patched bicc, but NOT for a
+	// lazy bicc, whose snapshot cost is the carried (or later, the deferred
+	// build's) cost while its publish work is just the refused patch
+	// attempt.
+	rec.OracleCosts = map[string]asym.Cost{"conn": connCost, "bicc": bm.Snapshot()}
+	var lazy *lazySlot
+	if biccStrat == StrategyLazy {
+		lazy = &lazySlot{}
 	}
-	rec.Strategy = e.summarizeStrategies(strategies)
-	// The record's costs are the publish path's own work, straight off the
-	// per-oracle meters — identical to the snapshot build costs for every
-	// eager rung, but NOT for a lazy slot, whose snapshot cost is the
-	// carried (or later, the deferred build's) cost while its publish work
-	// is just the refused patch attempt.
-	rec.OracleCosts = make(map[string]asym.Cost, nf)
-	for i, f := range e.factories {
-		rec.OracleCosts[f.Name] = ms[i].Snapshot()
-	}
-	costs := make([]asym.Cost, nf)
-	for i, m := range ms {
-		costs[i] = m.Snapshot()
-	}
-	nextEpoch := cur.epoch + 1
-	var builtEpochs []int64
-	var lazySlots []*lazySlot
-	for i := range os {
-		if strategies[i] != StrategyLazy {
-			continue
-		}
-		if builtEpochs == nil {
-			builtEpochs = make([]int64, nf)
-			lazySlots = make([]*lazySlot, nf)
-			for j := range builtEpochs {
-				builtEpochs[j] = nextEpoch
-			}
-		}
-		// Carry the effective instance forward as stale, tagged with the
-		// epoch it was built at. The slot's built pointer flips nil ->
-		// non-nil exactly once, so loading it once here keeps the
-		// (instance, cost, tag) triple coherent even if a lazy build of cur
-		// races with this publish.
-		var lb *lazyBuilt
-		if cur.lazy != nil && cur.lazy[i] != nil {
-			lb = cur.lazy[i].built.Load()
-		}
-		switch {
-		case lb != nil:
-			os[i], costs[i], builtEpochs[i] = lb.o, lb.cost, cur.epoch
-		case cur.builtEpoch != nil:
-			os[i], costs[i], builtEpochs[i] = cur.oracles[i], cur.costs[i], cur.builtEpoch[i]
-		default:
-			os[i], costs[i], builtEpochs[i] = cur.oracles[i], cur.costs[i], cur.epoch
-		}
-		lazySlots[i] = &lazySlot{}
-	}
-	next := newSnap(nextEpoch, newG, os, costs, builtEpochs, lazySlots)
+	next := &snapshot{epoch: cur.epoch + 1, g: newG, conn: co, connCost: connCost, bicc: bb, biccEpoch: biccEpoch, biccLazy: lazy}
 	return next, rec, nil
+}
+
+// connLadder walks the conn ladder for one coalesced batch (see the file
+// header), returning the new oracle with the cost and name of the rung
+// that produced it.
+func (e *Engine) connLadder(cur *conn.Oracle, adds, removes [][2]int32, newG *graph.Graph) (*conn.Oracle, asym.Cost, string, error) {
+	m := asym.NewMeter(e.omega)
+	if e.rebaseEvery > 0 && cur.ChainDepth() >= e.rebaseEvery {
+		o := cur.Rebase(parallel.NewCtx(m, asym.NewSymTracker(e.sym)), graph.View{G: newG, M: m}, e.k, e.seed)
+		return o, m.Snapshot(), StrategyRebased, nil
+	}
+	strategy := StrategyPatchedInsert
+	if len(removes) > 0 {
+		strategy = StrategyPatchedDelete
+	}
+	sym := asym.NewSymTracker(e.sym)
+	o, err := cur, error(nil)
+	if len(adds) > 0 {
+		// Coalesced-batch order: all adds fold in first (they can only
+		// merge), then the removals run against the final multiset — the
+		// same end state as replaying the batches.
+		o, err = o.ApplyInsertions(m, sym, adds)
+	}
+	if err == nil && len(removes) > 0 {
+		o, err = o.ApplyDeletions(m, sym, removes, newG)
+	}
+	if err == nil {
+		return o, m.Snapshot(), strategy, nil
+	}
+	if !errors.Is(err, conn.ErrNeedsRebuild) {
+		return nil, asym.Cost{}, strategy, err
+	}
+	// A deletion genuinely split a component: step down the ladder to a
+	// full rebuild (fresh meter so the recorded cost is the rebuild's, not
+	// patch-attempt + rebuild).
+	m = asym.NewMeter(e.omega)
+	return e.buildConn(graph.View{G: newG, M: m}), m.Snapshot(), StrategyFull, nil
+}
+
+// biccLadder walks the bicc ladder for one coalesced batch (see the file
+// header), returning the instance the next snapshot carries, the epoch it
+// counts as built at, and the rung. The no-op predicates answer about the
+// instance's own graph, so a stale instance goes lazy untested. The
+// predicate checks charge m, refused ones included: they are real publish
+// work and show up in the record's costs. A patched instance's snapshot
+// cost is that charge, as a patched conn's is its patch cost.
+func (e *Engine) biccLadder(cur *snapshot, m *asym.Meter, adds, removes [][2]int32, newG *graph.Graph) (biccBuilt, int64, string) {
+	b, built := cur.effectiveBicc()
+	if b.o == nil || built != cur.epoch || !e.biccNoop(b, m, adds, removes, newG) {
+		return b, built, StrategyLazy
+	}
+	b.cost = m.Snapshot()
+	if len(removes) > 0 {
+		return b, cur.epoch + 1, StrategyPatchedDelete
+	}
+	return b, cur.epoch + 1, StrategyPatchedInsert
+}
+
+// biccNoop reports whether every edit of the batch provably leaves b's
+// block-cut tree unchanged, stopping at the first refusal. An insertion is
+// a no-op when it lands strictly inside one block
+// (bicc.Oracle.InsertionIsNoop); a removal when it is a self-loop or a
+// parallel copy whose pair keeps multiplicity >= 2 in the post-batch graph
+// (bicc.Oracle.DeletionIsNoop). Anything else can merge or split blocks.
+func (e *Engine) biccNoop(b biccBuilt, m *asym.Meter, adds, removes [][2]int32, newG *graph.Graph) bool {
+	sym, sc := asym.NewSymTracker(e.sym), bicc.NewScratch()
+	for _, ed := range adds {
+		if !b.o.InsertionIsNoop(m, sym, sc, b.cache, ed[0], ed[1]) {
+			return false
+		}
+	}
+	for _, ed := range removes {
+		mult := 0
+		if ed[0] != ed[1] {
+			mult = newG.EdgeMultiplicity(ed[0], ed[1])
+		}
+		if !b.o.DeletionIsNoop(m, ed[0], ed[1], mult) {
+			return false
+		}
+	}
+	return true
 }
