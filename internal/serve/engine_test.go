@@ -6,6 +6,8 @@ import (
 	"testing"
 
 	"repro/internal/asym"
+	"repro/internal/bicc"
+	"repro/internal/decomp"
 	"repro/internal/graph"
 )
 
@@ -126,6 +128,84 @@ func TestBatchMatchesDirect(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestScratchPathMatchesDirect checks, per query, that the scratch-taking
+// oracle calls the engine's answer path makes (ConnectedS, QueryS,
+// IsBridgeS, ...) return the plain calls' answer and charge the same cost
+// and symmetric high-water. It runs twice: once with nil scratch and no
+// cluster cache, once reusing one conn scratch, one bicc scratch and one
+// cluster cache across every query, so the warm scratch and the cache hits
+// (filled earlier in the pass, replayed later) are held to the paper
+// path's charges too.
+func TestScratchPathMatchesDirect(t *testing.T) {
+	g := graph.Disconnected(graph.Cycle(15), 4)
+	e := New(g, Config{Omega: 16, Seed: 7})
+	defer e.Close()
+	co, bo := e.Conn(), e.Bicc()
+	omega := e.Omega()
+
+	for _, warm := range []bool{false, true} {
+		var csc *decomp.Scratch
+		var bsc *bicc.Scratch
+		var cc *bicc.ClusterCache
+		if warm {
+			csc, bsc, cc = decomp.NewScratch(), bicc.NewScratch(), bicc.NewClusterCache(0)
+		}
+		rng := graph.NewRNG(3)
+		n := g.N()
+		for i := 0; i < 500; i++ {
+			u, v := int32(rng.Intn(n)), int32(rng.Intn(n))
+			for _, tc := range []struct {
+				kind          Kind
+				scratch, want func(*asym.Meter, *asym.SymTracker) int32
+			}{
+				{KindConnected,
+					func(m *asym.Meter, s *asym.SymTracker) int32 { return b2i(co.ConnectedS(m, s, csc, u, v)) },
+					func(m *asym.Meter, s *asym.SymTracker) int32 { return b2i(co.Connected(m, s, u, v)) }},
+				{KindComponent,
+					func(m *asym.Meter, s *asym.SymTracker) int32 { return co.QueryS(m, s, csc, u) },
+					func(m *asym.Meter, s *asym.SymTracker) int32 { return co.Query(m, s, u) }},
+				{KindBridge,
+					func(m *asym.Meter, s *asym.SymTracker) int32 { return b2i(bo.IsBridgeS(m, s, bsc, cc, u, v)) },
+					func(m *asym.Meter, s *asym.SymTracker) int32 { return b2i(bo.IsBridge(m, s, u, v)) }},
+				{KindArticulation,
+					func(m *asym.Meter, s *asym.SymTracker) int32 { return b2i(bo.IsArticulationS(m, s, bsc, cc, u)) },
+					func(m *asym.Meter, s *asym.SymTracker) int32 { return b2i(bo.IsArticulation(m, s, u)) }},
+				{KindBiconnected,
+					func(m *asym.Meter, s *asym.SymTracker) int32 { return b2i(bo.BiconnectedS(m, s, bsc, cc, u, v)) },
+					func(m *asym.Meter, s *asym.SymTracker) int32 { return b2i(bo.Biconnected(m, s, u, v)) }},
+				{KindTwoEdgeConnected,
+					func(m *asym.Meter, s *asym.SymTracker) int32 { return b2i(bo.OneEdgeConnectedS(m, s, bsc, cc, u, v)) },
+					func(m *asym.Meter, s *asym.SymTracker) int32 { return b2i(bo.OneEdgeConnected(m, s, u, v)) }},
+			} {
+				sm, dm := asym.NewMeter(omega), asym.NewMeter(omega)
+				ssym, dsym := asym.NewSymTracker(0), asym.NewSymTracker(0)
+				got, want := tc.scratch(sm, ssym), tc.want(dm, dsym)
+				if got != want {
+					t.Fatalf("warm=%v %s(%d,%d): scratch path %d, direct %d", warm, tc.kind, u, v, got, want)
+				}
+				if sm.Snapshot() != dm.Snapshot() {
+					t.Fatalf("warm=%v %s(%d,%d): scratch path cost %v != direct cost %v", warm, tc.kind, u, v, sm.Snapshot(), dm.Snapshot())
+				}
+				if ssym.HighWater() != dsym.HighWater() {
+					t.Fatalf("warm=%v %s(%d,%d): scratch path sym high-water %d != direct %d", warm, tc.kind, u, v, ssym.HighWater(), dsym.HighWater())
+				}
+			}
+		}
+		if warm {
+			if hits, _, _ := cc.Stats(); hits == 0 {
+				t.Fatal("repeated bicc queries never hit the cluster cache")
+			}
+		}
+	}
+}
+
+func b2i(b bool) int32 {
+	if b {
+		return 1
+	}
+	return 0
 }
 
 // TestConcurrentDo runs many Do batches from concurrent goroutines (the
