@@ -24,24 +24,26 @@ build:
 test:
 	$(GO) test ./...
 
-# The second line repeats the engine's ordering tests and the determinism
-# tests of the parallel bicc and decomposition builds (their 130k-vertex
-# powerlaw cases run once, in the first line: twenty race-built runs of
-# them would take minutes).
+# The second line repeats the engine's ordering tests, its shared-
+# decomposition test (the boot build forks both oracle builds over one
+# decomposition) and the determinism tests of the parallel bicc and
+# decomposition builds (their 130k-vertex powerlaw cases run once, in the
+# first line: twenty race-built runs of them would take minutes).
 race:
 	$(GO) test -race $(RACE_PKGS)
-	$(GO) test -race -count=20 -run '^(TestEngineWALBeforeStage|TestLazySingleFlight|TestBuildOracleParallelDeterministic|TestBuildParallelDeterministic)$$/^(uniform|small-components|no-centers|parallel-variant|extension-marks)$$' ./internal/serve/ ./internal/bicc/ ./internal/decomp/
+	$(GO) test -race -count=20 -run '^(TestEngineWALBeforeStage|TestLazySingleFlight|TestSharedDecomposition|TestBuildOracleParallelDeterministic|TestBuildParallelDeterministic)$$/^(boot|lazy-boot|rebased|patched-insert|uniform|small-components|no-centers|parallel-variant|extension-marks)$$' ./internal/serve/ ./internal/bicc/ ./internal/decomp/
 
 # Every paper-table benchmark executes once (smoke); use
 # `go test -bench . -benchtime 3s .` for real measurements.
 bench:
 	$(GO) test -bench . -benchtime 1x -run '^$$' ./...
 
-# The build curves at one and two processors: decomp.Build and
-# bicc.BuildOracle (n = 8192). Charged reads and writes per op must match
-# across -cpu settings; only ns/op may differ.
+# The build curves at one and two processors: decomp.Build,
+# bicc.BuildOracle and an engine's boot build (serve.New, which shares one
+# decomposition between its two oracles), all at n = 8192. Charged reads
+# and writes per op must match across -cpu settings; only ns/op may differ.
 bench-build:
-	$(GO) test -run '^$$' -bench '^BenchmarkBuild(Oracle)?$$' -cpu 1,2 -count 3 ./internal/decomp/ ./internal/bicc/
+	$(GO) test -run '^$$' -bench '^(BenchmarkBuild(Oracle)?|BenchmarkEngineNew)$$' -cpu 1,2 -count 3 ./internal/decomp/ ./internal/bicc/ ./internal/serve/
 
 # Regenerate the committed BENCH_*.json files at the repo root: the pinned
 # engine sweep and the HTTP sweep. Graph shapes and the uniform/powerlaw asymmetric costs are

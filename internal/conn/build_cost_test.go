@@ -1,6 +1,7 @@
 package conn
 
 import (
+	"reflect"
 	"testing"
 
 	"repro/internal/asym"
@@ -62,6 +63,42 @@ func TestBuildCostsPinned(t *testing.T) {
 				t.Fatalf("VisitSpanningForest emitted %d edges, spanning forest has %d", edges, want)
 			}
 			check(t, "VisitSpanningForest", qm, qsym, tc.visit)
+		})
+	}
+}
+
+// TestBuildOverMatchesBuildOracle holds BuildOracle to what it is:
+// decomp.Build followed by BuildOver. Over a decomposition built on the
+// same meter and tracker, BuildOver must produce a deeply equal oracle at
+// the same asymmetric cost and symmetric high-water, which is what lets a
+// caller share one decomposition between the conn and bicc oracles.
+func TestBuildOverMatchesBuildOracle(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		g    *graph.Graph
+	}{
+		{"random-regular", graph.RandomRegular(1000, 3, 42)},
+		{"grid", graph.Grid2D(30, 30)},
+		{"disconnected-cycles", graph.Disconnected(graph.Cycle(5), 13)},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			m := asym.NewMeter(64)
+			sym := asym.NewSymTracker(0)
+			want := BuildOracle(parallel.NewCtx(m, sym), graph.View{G: tc.g, M: m}, 8, 7)
+
+			m2 := asym.NewMeter(64)
+			sym2 := asym.NewSymTracker(0)
+			c := parallel.NewCtx(m2, sym2)
+			d := decomp.Build(c, graph.View{G: tc.g, M: m2}, 8, 7, decomp.Options{})
+			got := BuildOver(c, m2, d, 7)
+
+			if !reflect.DeepEqual(got, want) {
+				t.Error("BuildOver over decomp.Build differs from BuildOracle")
+			}
+			if m2.Snapshot() != m.Snapshot() || sym2.HighWater() != sym.HighWater() {
+				t.Errorf("decomp.Build+BuildOver charged %+v high=%d, BuildOracle %+v high=%d",
+					m2.Snapshot(), sym2.HighWater(), m.Snapshot(), sym.HighWater())
+			}
 		})
 	}
 }

@@ -16,13 +16,14 @@ import (
 // bounded-degree graphs with k = √ω, construction performs O(n/√ω) writes
 // and O(√ω·n) work; a query costs O(√ω) expected reads and no writes.
 //
-// Concurrency contract: after BuildOracle returns, the oracle is immutable.
-// Query, Connected, and VisitSpanningForest touch no oracle state outside
-// the Meter and SymTracker passed to them (their scratch lives in per-call
-// symmetric memory), so any number of goroutines may query one Oracle
-// concurrently as long as each uses its own meter — or shares one, since
-// Meter and SymTracker are themselves safe for concurrent use. Package
-// serve relies on this to shard query batches across workers.
+// Concurrency contract: after BuildOracle or BuildOver returns, the oracle
+// is immutable. Query, Connected, and VisitSpanningForest touch no oracle
+// state outside the Meter and SymTracker passed to them (their scratch
+// lives in per-call symmetric memory), so any number of goroutines may
+// query one Oracle concurrently as long as each uses its own meter — or
+// shares one, since Meter and SymTracker are themselves safe for
+// concurrent use. Package serve relies on this to shard query batches
+// across workers.
 //
 //wec:immutable
 type Oracle struct {
@@ -88,17 +89,27 @@ func DefaultK(omega int) int {
 
 // BuildOracle constructs a connectivity oracle over the bounded-degree
 // graph behind vw. k <= 0 selects √ω. All costs are charged to vw.M and
-// symmetric scratch is tracked on c's tracker.
-//
-//wec:mutator build-time constructor; the oracle is not shared until it returns
+// symmetric scratch is tracked on c's tracker. It is decomp.Build followed
+// by BuildOver, and charges exactly what the two charge together.
 func BuildOracle(c *parallel.Ctx, vw graph.View, k int, seed uint64) *Oracle {
-	m := vw.M
 	if k <= 0 {
-		k = DefaultK(m.Omega())
+		k = DefaultK(vw.M.Omega())
 	}
 	// Step 1: implicit k-decomposition (Theorem 3.1).
 	d := decomp.Build(c, vw, k, seed, decomp.Options{})
+	return BuildOver(c, vw.M, d, seed)
+}
 
+// BuildOver constructs a connectivity oracle over a prebuilt implicit
+// k-decomposition d of d.Graph(), using d's k. seed drives the low-diameter
+// decomposition of the clusters graph; passing the seed d was built with
+// gives exactly the oracle BuildOracle builds. Only the work on top of d is
+// charged (to m, and symmetric scratch to c's tracker), so a caller that
+// hands d to the biconnectivity oracle too builds the decomposition once.
+//
+//wec:mutator build-time constructor; the oracle is not shared until it returns
+func BuildOver(c *parallel.Ctx, m *asym.Meter, d *decomp.Decomposition, seed uint64) *Oracle {
+	k := d.K()
 	// Step 2: the write-efficient connectivity algorithm of §4.2 with
 	// β = 1/k on the *implicit* clusters graph: the LDD queries neighbor
 	// lists on demand (Lemma 4.3) instead of writing Θ(m') edges.

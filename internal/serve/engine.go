@@ -12,9 +12,10 @@
 //
 // The design follows the oracles' own cost discipline:
 //
-//   - Construction is charged to per-oracle meters (conn and bicc build in
-//     parallel under one parallel.Ctx), so /stats can report the paper's
-//     construction write bounds as live telemetry.
+//   - Construction is charged to per-oracle meters, so /stats can report
+//     the paper's construction write bounds as live telemetry. Both oracles
+//     sit on one implicit decomposition per graph version, charged to conn;
+//     the rest of the two builds runs in parallel.
 //   - Each worker queries with a private asym.Meter and asym.SymTracker —
 //     concurrent queries never share mutable cost-model state — and merges
 //     its totals into long-lived per-query-kind aggregate meters when its
@@ -298,7 +299,8 @@ type Stats struct {
 	NumComponents int `json:"num_components"`
 	NumBCC        int `json:"num_bcc"`
 	// BuildCosts has each oracle's construction cost, keyed "conn" and
-	// "bicc".
+	// "bicc". The decomposition the two share is in conn's; bicc's
+	// includes a decomposition only when its build made its own.
 	BuildCosts   map[string]asym.Cost `json:"build_costs"`
 	Queries      map[string]KindStats `json:"queries"`
 	TotalQueries int64                `json:"total_queries"` // sum of Queries[*].Count
@@ -416,6 +418,17 @@ func (s *snapshot) liveBiccCaches(f func(*bicc.ClusterCache)) {
 	}
 }
 
+// sharedDecomp returns the implicit decomposition conn holds when it is one
+// of this snapshot's graph, for a lazy bicc build to reuse, else nil. conn's
+// boot, full and rebased builds decompose the graph they serve; a patch
+// keeps the decomposition of the graph the patch chain started from.
+func (s *snapshot) sharedDecomp() *decomp.Decomposition {
+	if d := s.conn.D; d.Graph() == s.g {
+		return d
+	}
+	return nil
+}
+
 // counts returns the structure counters shared by /stats and /info. A
 // never-built bicc contributes nothing (NumBCC reads 0 until the first
 // biconnectivity query forces its build).
@@ -509,10 +522,11 @@ type kindAgg struct {
 	meter  *asym.Meter
 }
 
-// New builds the conn and bicc oracles over g and returns a ready engine.
-// The two constructions run in parallel, each charging its own meter, so
-// the build parallelizes and the per-oracle construction costs stay
-// separable in /stats.
+// New builds the oracles over g and returns a ready engine: one implicit
+// decomposition, then the conn and bicc oracles over it in parallel
+// (buildOracles), each on its own meter so the per-oracle construction
+// costs stay separable in /stats. With Config.LazyBoot bicc is not built
+// here; its first query builds it over conn's decomposition.
 func New(g *graph.Graph, cfg Config) *Engine {
 	omega := cfg.Omega
 	if omega <= 0 {
@@ -578,30 +592,35 @@ func New(g *graph.Graph, cfg Config) *Engine {
 	return e
 }
 
-// buildOracles constructs the conn oracle, and bicc when withBicc is set,
-// over g in parallel, returning them with their separable construction
-// costs. Used for the initial snapshot. A panicking build is re-raised on
+// buildOracles builds the implicit decomposition of g once, on conn's
+// meter, then the rest of the conn oracle and, when withBicc is set, the
+// bicc oracle over it in parallel. conn's cost includes the decomposition
+// (conn always builds, bicc may be deferred); bicc's covers only its own
+// work. Used for the initial snapshot. A panicking build is re-raised on
 // the calling goroutine once both builds have ended (parallel.Ctx.Fork2),
 // and reaches the caller's recover (the Registry parks the graph at
 // StateFailed).
 func (e *Engine) buildOracles(g *graph.Graph, withBicc bool) (co *conn.Oracle, connCost asym.Cost, bb biccBuilt) {
+	m := asym.NewMeter(e.omega)
+	c := parallel.NewCtx(m, asym.NewSymTracker(e.sym))
+	d := decomp.Build(c, graph.View{G: g, M: m}, e.k, e.seed, decomp.Options{})
 	parallel.NewCtx(nil, nil).Fork2(func(*parallel.Ctx) {
-		m := asym.NewMeter(e.omega)
-		co = e.buildConn(graph.View{G: g, M: m})
-		connCost = m.Snapshot()
+		co = conn.BuildOver(c, m, d, e.seed)
+		co.EnsureForest(m)
 	}, func(*parallel.Ctx) {
 		if withBicc {
-			bb = e.buildBicc(g)
+			bb = e.buildBicc(g, d)
 		}
 	})
-	return co, connCost, bb
+	return co, m.Snapshot(), bb
 }
 
-// buildConn constructs the conn oracle over vw, charging vw.M. The explicit
-// spanning forest is part of the dynamic-capable oracle's construction (it
-// is what makes deletions patchable), so it is seeded here and charged to
-// the same meter — conn.BuildOracle itself stays pristine for the paper's
-// static cost bounds.
+// buildConn constructs the conn oracle over vw with its own decomposition,
+// charging vw.M: the full rung of the conn ladder. The explicit spanning
+// forest is part of the dynamic-capable oracle's construction (it is what
+// makes deletions patchable), so it is seeded here and charged to the same
+// meter — conn.BuildOracle itself stays pristine for the paper's static
+// cost bounds.
 func (e *Engine) buildConn(vw graph.View) *conn.Oracle {
 	o := conn.BuildOracle(parallel.NewCtx(vw.M, asym.NewSymTracker(e.sym)), vw, e.k, e.seed)
 	o.EnsureForest(vw.M)
@@ -609,10 +628,11 @@ func (e *Engine) buildConn(vw graph.View) *conn.Oracle {
 }
 
 // buildBicc constructs a bicc oracle over g on a fresh meter, with a fresh
-// cluster cache.
-func (e *Engine) buildBicc(g *graph.Graph) biccBuilt {
+// cluster cache. d is a decomposition of g to build over, or nil to build
+// one, in which case the returned cost includes it.
+func (e *Engine) buildBicc(g *graph.Graph, d *decomp.Decomposition) biccBuilt {
 	m := asym.NewMeter(e.omega)
-	o := bicc.BuildOracle(parallel.NewCtx(m, asym.NewSymTracker(e.sym)), graph.View{G: g, M: m}, nil, e.k, e.seed)
+	o := bicc.BuildOracle(parallel.NewCtx(m, asym.NewSymTracker(e.sym)), graph.View{G: g, M: m}, d, e.k, e.seed)
 	return biccBuilt{o: o, cache: bicc.NewClusterCache(0), cost: m.Snapshot()}
 }
 

@@ -351,3 +351,24 @@ func BenchmarkServeBatch(b *testing.B) {
 	b.ReportMetric(float64(reads)/float64(st.TotalQueries), "reads/query")
 	b.ReportMetric(float64(work)/float64(st.TotalQueries), "work/query")
 }
+
+// BenchmarkEngineNew times an engine's boot build on a uniform 3-regular
+// graph (n = 8192, ω = 64, seed 7): one implicit decomposition, then the
+// conn and bicc oracles over it in parallel. writes/op is the summed
+// build_costs writes. Compare -cpu 1,2 (make bench-build): ns/op should
+// fall with the processor count, while writes/op must not move.
+func BenchmarkEngineNew(b *testing.B) {
+	g := graph.RandomRegular(8192, 3, 42)
+	b.ReportAllocs()
+	var writes int64
+	for i := 0; i < b.N; i++ {
+		e := New(g, Config{Omega: 64, Seed: 7})
+		b.StopTimer()
+		for _, c := range e.Stats().BuildCosts {
+			writes += c.Writes
+		}
+		e.Close()
+		b.StartTimer()
+	}
+	b.ReportMetric(float64(writes)/float64(b.N), "writes/op")
+}

@@ -62,7 +62,9 @@ func (e *Engine) resolveBicc(s *snapshot, bounded bool) (*biccBuilt, int64, erro
 // Conn queries never arrive here, so they never block. The build charges
 // a fresh meter — its cost surfaces as the slot's build cost, not on any
 // query's per-kind meter, so per-query telemetry is identical whether the
-// build was eager or lazy.
+// build was eager or lazy. It builds over the snapshot's shared
+// decomposition when there is one (snapshot.sharedDecomp) and over one of
+// its own, charged to the same meter, otherwise.
 func (e *Engine) buildLazy(s *snapshot) (*biccBuilt, error) {
 	slot := s.biccLazy
 	slot.mu.Lock()
@@ -78,7 +80,7 @@ func (e *Engine) buildLazy(s *snapshot) (*biccBuilt, error) {
 				err = fmt.Errorf(`serve: oracle "bicc" lazy rebuild panicked: %v`, r)
 			}
 		}()
-		lb = e.buildBicc(s.g)
+		lb = e.buildBicc(s.g, s.sharedDecomp())
 		return nil
 	}()
 	if err != nil {

@@ -428,10 +428,10 @@ func (e *Engine) buildNext(cur *snapshot, batches []*updateBatch) (*snapshot, Re
 	rec.Strategy = connStrat
 	rec.Strategies = map[string]string{"conn": connStrat, "bicc": biccStrat}
 	// The record's costs are the publish path's own work — identical to
-	// the snapshot build cost for conn and a patched bicc, but NOT for a
-	// lazy bicc, whose snapshot cost is the carried (or later, the deferred
-	// build's) cost while its publish work is just the refused patch
-	// attempt.
+	// the snapshot build cost for conn, but NOT for bicc: its publish work
+	// is only the no-op check, while its snapshot cost stays the build cost
+	// of the instance that serves (the carried one, or later the deferred
+	// build's).
 	rec.OracleCosts = map[string]asym.Cost{"conn": connCost, "bicc": bm.Snapshot()}
 	var lazy *lazySlot
 	if biccStrat == StrategyLazy {
@@ -483,14 +483,13 @@ func (e *Engine) connLadder(cur *conn.Oracle, adds, removes [][2]int32, newG *gr
 // counts as built at, and the rung. The no-op predicates answer about the
 // instance's own graph, so a stale instance goes lazy untested. The
 // predicate checks charge m, refused ones included: they are real publish
-// work and show up in the record's costs. A patched instance's snapshot
-// cost is that charge, as a patched conn's is its patch cost.
+// work and show up in the record's costs. An instance absorbed as a no-op
+// is the same oracle, so it keeps its build cost on the snapshot side.
 func (e *Engine) biccLadder(cur *snapshot, m *asym.Meter, adds, removes [][2]int32, newG *graph.Graph) (biccBuilt, int64, string) {
 	b, built := cur.effectiveBicc()
 	if b.o == nil || built != cur.epoch || !e.biccNoop(b, m, adds, removes, newG) {
 		return b, built, StrategyLazy
 	}
-	b.cost = m.Snapshot()
 	if len(removes) > 0 {
 		return b, cur.epoch + 1, StrategyPatchedDelete
 	}

@@ -432,3 +432,28 @@ func TestHTTPUpdateErrors(t *testing.T) {
 		}
 	}
 }
+
+// TestBiccNoopKeepsBuildCost: a batch bicc absorbs as a no-op carries the
+// same oracle into the next snapshot, so /stats build_costs.bicc must still
+// describe that oracle's build; the no-op check's own charge belongs to the
+// rebuild record.
+func TestBiccNoopKeepsBuildCost(t *testing.T) {
+	g := graph.Disconnected(graph.Cycle(16), 4)
+	e := New(g, Config{Omega: 16, Seed: 5})
+	defer e.Close()
+	before := e.Stats().BuildCosts["bicc"]
+	if _, err := e.Update(Update{Add: [][2]int32{{0, 5}}}, true); err != nil {
+		t.Fatal(err)
+	}
+	st := e.Stats()
+	rec := st.Rebuilds[len(st.Rebuilds)-1]
+	if rec.Strategies["bicc"] != StrategyPatchedInsert {
+		t.Fatalf("bicc took %q, want the no-op rung %q", rec.Strategies["bicc"], StrategyPatchedInsert)
+	}
+	if got := st.BuildCosts["bicc"]; got != before {
+		t.Errorf("build_costs.bicc moved from %+v to %+v across a no-op publish", before, got)
+	}
+	if c := rec.OracleCosts["bicc"]; c.Reads == 0 || c.Writes != 0 {
+		t.Errorf("rebuild record's bicc cost %+v, want the no-op check's reads and 0 writes", c)
+	}
+}
