@@ -31,7 +31,7 @@ test:
 # first line: twenty race-built runs of them would take minutes).
 race:
 	$(GO) test -race $(RACE_PKGS)
-	$(GO) test -race -count=20 -run '^(TestEngineWALBeforeStage|TestLazySingleFlight|TestSharedDecomposition|TestBuildOracleParallelDeterministic|TestBuildParallelDeterministic)$$/^(boot|lazy-boot|rebased|patched-insert|uniform|small-components|no-centers|parallel-variant|extension-marks)$$' ./internal/serve/ ./internal/bicc/ ./internal/decomp/
+	$(GO) test -race -count=20 -run '^(TestEngineWALBeforeStage|TestLazySingleFlight|TestSharedDecomposition|TestBuildOracleParallelDeterministic|TestBuildParallelDeterministic)$$/^(boot|lazy-boot|rebased|patched-insert|patched-delete|uniform|small-components|no-centers|parallel-variant|extension-marks)$$' ./internal/serve/ ./internal/bicc/ ./internal/decomp/
 
 # Every paper-table benchmark executes once (smoke); use
 # `go test -bench . -benchtime 3s .` for real measurements.
@@ -39,11 +39,12 @@ bench:
 	$(GO) test -bench . -benchtime 1x -run '^$$' ./...
 
 # The build curves at one and two processors: decomp.Build,
+# decomp.Repair over 16-edge batches (a lazy bicc build's decomposition),
 # bicc.BuildOracle and an engine's boot build (serve.New, which shares one
 # decomposition between its two oracles), all at n = 8192. Charged reads
 # and writes per op must match across -cpu settings; only ns/op may differ.
 bench-build:
-	$(GO) test -run '^$$' -bench '^(BenchmarkBuild(Oracle)?|BenchmarkEngineNew)$$' -cpu 1,2 -count 3 ./internal/decomp/ ./internal/bicc/ ./internal/serve/
+	$(GO) test -run '^$$' -bench '^(BenchmarkBuild(Oracle)?|BenchmarkRepair|BenchmarkEngineNew)$$' -cpu 1,2 -count 3 ./internal/decomp/ ./internal/bicc/ ./internal/serve/
 
 # Regenerate the committed BENCH_*.json files at the repo root: the pinned
 # engine sweep and the HTTP sweep. Graph shapes and the uniform/powerlaw asymmetric costs are
@@ -89,12 +90,14 @@ bench-check:
 	  GOFLAGS=-mod=mod GOWORK=off $(GO) test ./...
 
 # Short native fuzz runs (plain `go test` runs only the seed corpora): the
-# /batch codec against encoding/json, and the bicc block solver against
-# Ref on small multigraphs. The budget is an exec count, not a duration: a
-# time-based -fuzztime can stall on a 2-vCPU machine.
+# /batch codec against encoding/json, the bicc block solver against Ref on
+# small multigraphs, and decomp.Repair against decomp.Build on fuzzed edge
+# batches. The budget is an exec count, not a duration: a time-based
+# -fuzztime can stall on a 2-vCPU machine.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzBatchDecode$$' -fuzztime 5000x ./internal/serve/
 	$(GO) test -run '^$$' -fuzz '^FuzzLocalBlocks$$' -fuzztime 5000x ./internal/bicc/
+	$(GO) test -run '^$$' -fuzz '^FuzzRepair$$' -fuzztime 5000x ./internal/decomp/
 
 # gofmt + vet + the repository's own invariant analyzers (weclint: metered
 # access, snapshot immutability, typed errors, the zero-alloc hot path,

@@ -2,6 +2,7 @@ package asym
 
 import (
 	"math/bits"
+	"slices"
 	"sync/atomic"
 )
 
@@ -137,6 +138,27 @@ func (b *BitArray) Set(i int, v bool) {
 // RawGet reads bit i without charging. For verification only.
 func (b *BitArray) RawGet(i int) bool {
 	return atomic.LoadUint64(&b.words[i/64])&(1<<uint(i%64)) != 0
+}
+
+// Clone returns a copy of b whose accesses charge m, charging m one read
+// and one write per word copied (⌈Len/64⌉ of each). b must not change
+// while it is copied.
+func (b *BitArray) Clone(m *Meter) *BitArray {
+	m.Read(len(b.words))
+	m.Write(len(b.words))
+	return &BitArray{m: m, words: slices.Clone(b.words), n: b.n}
+}
+
+// Diff returns the number of positions at which b and o (of equal length)
+// differ, charging m one read per word of each. Neither may change while
+// it compares.
+func (b *BitArray) Diff(m *Meter, o *BitArray) int {
+	m.Read(2 * len(b.words))
+	diff := 0
+	for w, word := range b.words {
+		diff += bits.OnesCount64(word ^ o.words[w])
+	}
+	return diff
 }
 
 // Rank is a constant-time rank directory over a BitArray, the one-level

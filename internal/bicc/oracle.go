@@ -2,6 +2,7 @@ package bicc
 
 import (
 	"runtime"
+	"slices"
 
 	"repro/internal/decomp"
 	"repro/internal/eulertour"
@@ -118,11 +119,26 @@ func BuildOracle(c *parallel.Ctx, vw graph.View, d *decomp.Decomposition, k int,
 	}
 	var roots []int32
 	nbrs := make([][]decomp.CenterEdge, np)
+	ends := make([]int, np)
 	parallel.Pass(c, m, ws, np, func(w *buildWorker, _ *parallel.Ctx, lo, hi int) {
+		// The listings are borrowed from the scratch, so they are copied
+		// out, all of a chunk's into one flat slice; nbrs[ci] is cut from
+		// it by offset once it has stopped growing. On bounded-degree
+		// graphs a cluster has fewer than eight neighbor clusters on
+		// average, and the slice doubles when it runs out.
+		flat := make([]decomp.CenterEdge, 0, 8*(hi-lo))
 		for ci := lo; ci < hi; ci++ {
-			s := d.Center(w.M, ci)
-			// Copied out: the listing is borrowed from the scratch.
-			nbrs[ci] = append([]decomp.CenterEdge(nil), d.NeighborCentersS(w.M, w.Sym, w.sc.dsc, s)...)
+			l := d.NeighborCentersS(w.M, w.Sym, w.sc.dsc, d.Center(w.M, ci))
+			if len(flat)+len(l) > cap(flat) {
+				flat = slices.Grow(flat, len(flat)+len(l))
+			}
+			flat = append(flat, l...)
+			ends[ci] = len(flat)
+		}
+		start := 0
+		for ci := lo; ci < hi; ci++ {
+			nbrs[ci] = flat[start:ends[ci]:ends[ci]]
+			start = ends[ci]
 		}
 	})
 	for s := int32(0); s < int32(np); s++ {
@@ -306,10 +322,11 @@ func BuildOracle(c *parallel.Ctx, vw graph.View, d *decomp.Decomposition, k int,
 			}
 			// Spanning-BCC equivalence: tree edges whose Vo nodes share a
 			// local BCC belong to one biconnected component of G.
-			vos := make([]int32, 0, len(lg.voEdge))
+			vos := w.vos[:0]
 			for voID := range lg.voEdge {
 				vos = append(vos, voID)
 			}
+			w.vos = vos
 			for i := 0; i < len(vos); i++ {
 				for j := i + 1; j < len(vos); j++ {
 					if lg.sameBCC(vos[i], vos[j]) {
@@ -318,15 +335,17 @@ func BuildOracle(c *parallel.Ctx, vw graph.View, d *decomp.Decomposition, k int,
 				}
 			}
 			// Internal BCCs: local BCCs containing no Vo node.
-			voBCC := map[int32]bool{}
+			voBCC := slices.Grow(w.voBCC[:0], lg.numBCC)[:lg.numBCC]
+			clear(voBCC)
+			w.voBCC = voBCC
 			for _, voID := range vos {
 				for _, b := range lg.vertexBlocks(voID) {
 					voBCC[b] = true
 				}
 			}
 			cnt := int32(0)
-			for b := 0; b < lg.numBCC; b++ {
-				if !voBCC[int32(b)] {
+			for _, hasVo := range voBCC {
+				if !hasVo {
 					cnt++
 				}
 			}
@@ -440,6 +459,8 @@ type buildWorker struct {
 	parallel.Worker
 	sc        *Scratch
 	unions    [][2]int32 // spanning-BCC unions of the local-graph pass
+	vos       []int32    // local-graph pass: one cluster's Vo nodes
+	voBCC     []bool     // local-graph pass: local blocks holding a Vo node
 	clustered int        // cluster members listed by the local-graph pass
 	smallBCCs int        // BCCs of the small components this worker found
 }

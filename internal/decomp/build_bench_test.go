@@ -30,6 +30,48 @@ func BenchmarkBuild(b *testing.B) {
 	b.ReportMetric(float64(writes)/float64(b.N), "writes/op")
 }
 
+// BenchmarkRepair times Repair on BenchmarkBuild's graph and k: each op
+// repairs the decomposition of one graph of a fixed sequence onto the next,
+// which differs by a batch of 16 random edge insertions and removals (the
+// churn-bicc update size). writes/op is what a lazy bicc build pays for its
+// decomposition, against BenchmarkBuild's writes/op for a rebuild; it is
+// the copied center bits plus, when a center flipped (flips/op), the
+// center list and rank directory. touched/op counts the primary clusters
+// the repair redid.
+func BenchmarkRepair(b *testing.B) {
+	const batches = 32
+	gs := []*graph.Graph{graph.RandomRegular(8192, 3, 42)}
+	rng := graph.NewRNG(1)
+	for i := 0; i < batches; i++ {
+		gs = append(gs, randomBatch(b, gs[i], rng, 16, 0.5))
+	}
+	ds := make([]*Decomposition, len(gs))
+	for i, g := range gs {
+		ds[i], _, _ = build(g, 8, 7, Options{})
+	}
+	var flips [batches]int
+	for i := range flips {
+		flips[i] = ds[i+1].isCenter.Diff(asym.NewMeter(1), ds[i].isCenter)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	var writes, touched, flipped int64
+	for i := 0; i < b.N; i++ {
+		j := i % batches
+		m := asym.NewMeter(64)
+		_, t := repair(parallel.NewCtx(m, asym.NewSymTracker(0)), graph.View{G: gs[j+1], M: m}, ds[j])
+		if t < 0 {
+			b.Fatalf("batch %d fell back to Build", j)
+		}
+		writes += m.Writes()
+		touched += int64(t)
+		flipped += int64(flips[j])
+	}
+	b.ReportMetric(float64(writes)/float64(b.N), "writes/op")
+	b.ReportMetric(float64(touched)/float64(b.N), "touched/op")
+	b.ReportMetric(float64(flipped)/float64(b.N), "flips/op")
+}
+
 // benchSink keeps the benchmarked calls' results live.
 var benchSink int
 

@@ -47,8 +47,8 @@ type Decomposition struct {
 	centers   *asym.Array    // sorted center ids (clusters-graph numbering)
 	rank      *asym.Rank     // over isCenter: center id -> clusters-graph id
 
-	unstable bool          // Options.UnstableTieBreak
-	callSeq  atomic.Uint64 // per-search sequence for the unstable ablation
+	opt     Options       // the options Build ran with; Repair keeps them
+	callSeq atomic.Uint64 // per-search sequence for the UnstableTieBreak ablation
 
 	// Construction statistics, for the experiment harness.
 	PrimaryCount   int
@@ -100,7 +100,7 @@ func Build(c *parallel.Ctx, vw graph.View, k int, seed uint64, opt Options) *Dec
 		seed:      seed,
 		isCenter:  asym.NewBitArray(m, n),
 		isPrimary: asym.NewBitArray(m, n),
-		unstable:  opt.UnstableTieBreak,
+		opt:       opt,
 	}
 
 	// Line 1 of Algorithm 1: sample each vertex into S0 with probability
@@ -130,9 +130,19 @@ func Build(c *parallel.Ctx, vw graph.View, k int, seed uint64, opt Options) *Dec
 	// adding secondary centers.
 	d.addSecondaryCenters(c, vw, opt, ws)
 
-	// Materialize the sorted center list (the clusters-graph numbering):
-	// O(n) reads to scan the bitmap, O(n/k) writes to store the list.
-	ids := make([]int32, 0, 2*(n/max(1, k))+4)
+	d.materializeCenters(m)
+	return d
+}
+
+// materializeCenters stores the sorted center list (the clusters-graph
+// numbering) and its inverse, the rank directory, from the center bits:
+// O(n) reads to scan the bitmap, O(n/k) writes to store the list and
+// ⌈n/64⌉ writes for the directory, all charged to m.
+//
+//wec:mutator construction-time helper of Build and Repair, before the decomposition is shared
+func (d *Decomposition) materializeCenters(m *asym.Meter) {
+	n := d.g.N()
+	ids := make([]int32, 0, 2*(n/max(1, d.k))+4)
 	m.Read(n) // one bit read per vertex
 	for v := 0; v < n; v++ {
 		if d.isCenter.RawGet(v) { //wec:unmetered charged by the m.Read(n) above
@@ -143,9 +153,7 @@ func Build(c *parallel.Ctx, vw graph.View, k int, seed uint64, opt Options) *Dec
 	for i, s := range ids {
 		d.centers.Set(i, s)
 	}
-	// The inverse numbering, for CenterIndex: ⌈n/64⌉ writes.
 	d.rank = asym.NewRank(d.isCenter)
-	return d
 }
 
 // K returns the cluster-size bound.
@@ -202,7 +210,7 @@ type buildWorker struct {
 // one worker and keeps the sequential order.
 func (d *Decomposition) newBuildWorkers(omega int, trackSym bool) []*buildWorker {
 	p := runtime.GOMAXPROCS(0)
-	if d.unstable {
+	if d.opt.UnstableTieBreak {
 		p = 1
 	}
 	ws := make([]*buildWorker, p)

@@ -149,7 +149,7 @@ func (d *Decomposition) search(m *asym.Meter, sym *asym.SymTracker, sc *Scratch,
 	}
 	vw := graph.View{G: d.g, M: m}
 	callSeed := uint64(0)
-	if d.unstable {
+	if d.opt.UnstableTieBreak {
 		callSeed = d.callSeq.Add(1)
 	}
 	for len(frontier) > 0 {
@@ -533,10 +533,7 @@ func (d *Decomposition) NeighborCentersS(m *asym.Meter, sym *asym.SymTracker, sc
 // the redone searches are few and run sequentially.
 func (d *Decomposition) extendUnconnected(c *parallel.Ctx, vw graph.View, opt Options, ws []*buildWorker) {
 	n := vw.G.N()
-	cap := opt.MaxSearch
-	if cap <= 0 {
-		cap = 4 * d.k * max(1, log2ceil(max(2, n)))
-	}
+	cap := extensionCap(opt, d.k, n)
 	parallel.Pass(c, vw.M, ws, n, func(w *buildWorker, _ *parallel.Ctx, lo, hi int) {
 		for v := int32(lo); v < int32(hi); v++ {
 			charged := w.M.Snapshot()
@@ -578,11 +575,20 @@ func (d *Decomposition) extendUnconnected(c *parallel.Ctx, vw graph.View, opt Op
 	c.AddDepth(int64(d.k)) // parallel over vertices; per-search depth O(k)
 }
 
+// extensionCap is the visit cap of the extension's primary searches:
+// Options.MaxSearch, or 4·k·⌈log2 n⌉ when that is zero.
+func extensionCap(opt Options, k, n int) int {
+	if opt.MaxSearch > 0 {
+		return opt.MaxSearch
+	}
+	return 4 * k * max(1, log2ceil(max(2, n)))
+}
+
 // neighborOrder returns nil for the deterministic (id-sorted) order, or a
 // per-call pseudo-random permutation of the adjacency slots when the
 // UnstableTieBreak ablation is active.
 func (d *Decomposition) neighborOrder(callSeed uint64, x int32, deg int) []int {
-	if !d.unstable || deg < 2 {
+	if !d.opt.UnstableTieBreak || deg < 2 {
 		return nil
 	}
 	order := make([]int, deg)

@@ -82,7 +82,7 @@ search:
 					continue
 				}
 				st := d.primarySearch(m, sym, sc, u, 0)
-				if st.hit != root && !d.unstable {
+				if st.hit != root && !d.opt.UnstableTieBreak {
 					if w.skipped != nil {
 						d.rhoOf(w.skipped, sc, st, u) // SkippedWalkReads only
 					}
@@ -198,16 +198,21 @@ func (d *Decomposition) addSecondaryCenters(c *parallel.Ctx, vw graph.View, opt 
 			if !d.isPrimary.RawGet(v) { //wec:unmetered charged by the w.M.Read(hi - lo) above
 				continue
 			}
-			p := int32(v)
-			deepest = max(deepest, wc.Measure(func(pc *parallel.Ctx) {
-				d.secondaryCenters(pc, w, p, p, opt, 0)
-			}))
+			deepest = max(deepest, d.carve(w, wc, int32(v), opt))
 		}
 		wc.AddDepth(deepest)
 	})
 	for _, w := range ws {
 		d.SecondaryCount += w.secondary
 	}
+}
+
+// carve runs SECONDARYCENTERS on primary p, charged to worker w through
+// wc, and returns the recursion's depth.
+func (d *Decomposition) carve(w *buildWorker, wc *parallel.Ctx, p int32, opt Options) int64 {
+	return wc.Measure(func(pc *parallel.Ctx) {
+		d.secondaryCenters(pc, w, p, p, opt, 0)
+	})
 }
 
 // secondaryCenters is one call of Algorithm 1's recursive procedure, on
@@ -289,7 +294,7 @@ func SkippedWalkReads(d *Decomposition, opt Options) int64 {
 		k:         d.k,
 		isCenter:  asym.NewBitArray(asym.NewMeter(1), n),
 		isPrimary: d.isPrimary,
-		unstable:  d.unstable,
+		opt:       d.opt,
 	}
 	w := &buildWorker{Worker: parallel.NewWorker(1, false), sc: NewScratch(), skipped: asym.NewMeter(1)}
 	c := parallel.NewCtx(w.M, nil)

@@ -418,17 +418,6 @@ func (s *snapshot) liveBiccCaches(f func(*bicc.ClusterCache)) {
 	}
 }
 
-// sharedDecomp returns the implicit decomposition conn holds when it is one
-// of this snapshot's graph, for a lazy bicc build to reuse, else nil. conn's
-// boot, full and rebased builds decompose the graph they serve; a patch
-// keeps the decomposition of the graph the patch chain started from.
-func (s *snapshot) sharedDecomp() *decomp.Decomposition {
-	if d := s.conn.D; d.Graph() == s.g {
-		return d
-	}
-	return nil
-}
-
 // counts returns the structure counters shared by /stats and /info. A
 // never-built bicc contributes nothing (NumBCC reads 0 until the first
 // biconnectivity query forces its build).
@@ -526,7 +515,9 @@ type kindAgg struct {
 // decomposition, then the conn and bicc oracles over it in parallel
 // (buildOracles), each on its own meter so the per-oracle construction
 // costs stay separable in /stats. With Config.LazyBoot bicc is not built
-// here; its first query builds it over conn's decomposition.
+// here; its first query builds it (buildLazy) over conn's decomposition,
+// which Repair returns unchanged, so that build's cost is bicc.BuildOracle
+// alone.
 func New(g *graph.Graph, cfg Config) *Engine {
 	omega := cfg.Omega
 	if omega <= 0 {
@@ -609,7 +600,7 @@ func (e *Engine) buildOracles(g *graph.Graph, withBicc bool) (co *conn.Oracle, c
 		co.EnsureForest(m)
 	}, func(*parallel.Ctx) {
 		if withBicc {
-			bb = e.buildBicc(g, d)
+			bb = e.buildBicc(parallel.NewCtx(asym.NewMeter(e.omega), asym.NewSymTracker(e.sym)), d)
 		}
 	})
 	return co, m.Snapshot(), bb
@@ -627,12 +618,14 @@ func (e *Engine) buildConn(vw graph.View) *conn.Oracle {
 	return o
 }
 
-// buildBicc constructs a bicc oracle over g on a fresh meter, with a fresh
-// cluster cache. d is a decomposition of g to build over, or nil to build
-// one, in which case the returned cost includes it.
-func (e *Engine) buildBicc(g *graph.Graph, d *decomp.Decomposition) biccBuilt {
-	m := asym.NewMeter(e.omega)
-	o := bicc.BuildOracle(parallel.NewCtx(m, asym.NewSymTracker(e.sym)), graph.View{G: g, M: m}, d, e.k, e.seed)
+// buildBicc constructs a bicc oracle over decomposition d of its graph,
+// with a fresh cluster cache, charging c's meter. The returned cost is
+// everything that meter has charged: at boot bicc.BuildOracle alone (conn
+// pays for the decomposition); in a lazy build also the Repair that
+// produced d.
+func (e *Engine) buildBicc(c *parallel.Ctx, d *decomp.Decomposition) biccBuilt {
+	m := c.Meter()
+	o := bicc.BuildOracle(c, graph.View{G: d.Graph(), M: m}, d, e.k, e.seed)
 	return biccBuilt{o: o, cache: bicc.NewClusterCache(0), cost: m.Snapshot()}
 }
 

@@ -5,6 +5,11 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"repro/internal/asym"
+	"repro/internal/decomp"
+	"repro/internal/graph"
+	"repro/internal/parallel"
 )
 
 // Deferred (lazy) bicc rebuilds. The bicc oracle is not rebuilt on the
@@ -62,9 +67,12 @@ func (e *Engine) resolveBicc(s *snapshot, bounded bool) (*biccBuilt, int64, erro
 // Conn queries never arrive here, so they never block. The build charges
 // a fresh meter — its cost surfaces as the slot's build cost, not on any
 // query's per-kind meter, so per-query telemetry is identical whether the
-// build was eager or lazy. It builds over the snapshot's shared
-// decomposition when there is one (snapshot.sharedDecomp) and over one of
-// its own, charged to the same meter, otherwise.
+// build was eager or lazy. It builds over conn's decomposition repaired
+// onto the snapshot's graph (decomp.Repair), charged to the same meter, so
+// the slot's cost (build_costs.bicc) is the repair plus bicc.BuildOracle.
+// The repair is free when conn's rung (boot, full, rebased) decomposed the
+// served graph itself, and redoes only the clusters a patch chain touched
+// otherwise.
 func (e *Engine) buildLazy(s *snapshot) (*biccBuilt, error) {
 	slot := s.biccLazy
 	slot.mu.Lock()
@@ -80,7 +88,9 @@ func (e *Engine) buildLazy(s *snapshot) (*biccBuilt, error) {
 				err = fmt.Errorf(`serve: oracle "bicc" lazy rebuild panicked: %v`, r)
 			}
 		}()
-		lb = e.buildBicc(s.g, s.sharedDecomp())
+		m := asym.NewMeter(e.omega)
+		c := parallel.NewCtx(m, asym.NewSymTracker(e.sym))
+		lb = e.buildBicc(c, decomp.Repair(c, graph.View{G: s.g, M: m}, s.conn.D))
 		return nil
 	}()
 	if err != nil {

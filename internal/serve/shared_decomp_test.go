@@ -13,12 +13,14 @@ import (
 
 // TestSharedDecomposition pins one implicit decomposition per graph
 // version: the boot build hands conn's decomposition to bicc, and a lazy
-// bicc build reuses conn's whenever conn's rung (boot, full, rebased)
-// decomposed the served graph, but builds its own after a patch. conn's
-// build cost includes the shared decomposition; bicc's excludes it when
-// bicc reuses one. After every step the four bicc kinds must answer as
-// bicc.Ref on the served graph. The subtest names are in the subtest
-// filter of the -count=20 line of `make race`.
+// bicc build runs over conn's decomposition repaired onto the served graph
+// (decomp.Repair). That is conn's own decomposition whenever conn's rung
+// (boot, full, rebased) decomposed the served graph, and after a patch a
+// repaired one that stores exactly what decomp.Build would. conn's build
+// cost includes the shared decomposition; bicc's includes only the repair.
+// After every step the four bicc kinds must answer as bicc.Ref on the
+// served graph. The subtest names are in the subtest filter of the
+// -count=20 line of `make race`.
 func TestSharedDecomposition(t *testing.T) {
 	const omega, seed = 64, 7
 	// Eight 32-cycles: an edge between two of them is a bridge, so inserting
@@ -79,25 +81,73 @@ func TestSharedDecomposition(t *testing.T) {
 		}
 	})
 
-	t.Run("patched-insert", func(t *testing.T) {
-		e := New(g, Config{Omega: omega, Seed: seed})
-		defer e.Close()
-		if _, err := e.Update(bridge(0), true); err != nil {
-			t.Fatal(err)
+	// After a patch conn keeps the decomposition of the graph its patch
+	// chain started from; the lazy bicc build repairs it onto the served
+	// graph.
+	for _, tc := range []struct {
+		name, strategy string
+		u              Update
+	}{
+		{"patched-insert", StrategyPatchedInsert, bridge(0)},
+		// A cycle edge: removing it splits no component, and it is no bicc
+		// no-op.
+		{"patched-delete", StrategyPatchedDelete, Update{Remove: [][2]int32{{0, 1}}}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			e := New(g, Config{Omega: omega, Seed: seed})
+			defer e.Close()
+			if e.Conn().D.ExtraPrimaries != 0 {
+				t.Fatal("the graph needs extension primaries, so every repair would rebuild")
+			}
+			if _, err := e.Update(tc.u, true); err != nil {
+				t.Fatal(err)
+			}
+			st := e.Stats()
+			if rec := st.Rebuilds[len(st.Rebuilds)-1]; rec.Strategies["conn"] != tc.strategy || rec.Strategies["bicc"] != StrategyLazy {
+				t.Fatalf("strategies %+v, want conn %s, bicc lazy", rec.Strategies, tc.strategy)
+			}
+			checkBiccRef(t, e)
+			old, d := e.Conn().D, e.Bicc().D
+			if old.Graph() == e.Graph() || d.Graph() != e.Graph() {
+				t.Fatal("after a patch conn must keep the old graph's decomposition and the lazy build must decompose the served graph")
+			}
+			sameDecomposition(t, d, prebuilt(e.Graph(), e.K(), seed))
+			rm := asym.NewMeter(omega)
+			repaired := decomp.Repair(parallel.NewCtx(rm, asym.NewSymTracker(0)), graph.View{G: e.Graph(), M: rm}, old)
+			want := rm.Snapshot().Add(biccCostOver(e.Graph(), e.K(), seed, repaired))
+			got := e.Stats().BuildCosts["bicc"]
+			if got != want {
+				t.Errorf("build_costs.bicc %+v, want decomp.Repair plus bicc.BuildOracle %+v", got, want)
+			}
+			if rebuild := biccCostOver(e.Graph(), e.K(), seed, nil); got.Writes >= rebuild.Writes {
+				t.Errorf("build_costs.bicc writes %d, a build with its own decomposition writes %d", got.Writes, rebuild.Writes)
+			}
+		})
+	}
+}
+
+// sameDecomposition fails the test unless got stores what want does: the
+// graph, k, the three counts, the center and primary bits, the center list
+// and the rank directory, read through the exported accessors.
+func sameDecomposition(t *testing.T, got, want *decomp.Decomposition) {
+	t.Helper()
+	if got.Graph() != want.Graph() || got.K() != want.K() || got.NumCenters() != want.NumCenters() ||
+		got.PrimaryCount != want.PrimaryCount || got.SecondaryCount != want.SecondaryCount || got.ExtraPrimaries != want.ExtraPrimaries {
+		t.Fatalf("decomposition: k=%d, %d centers, counts %d/%d/%d; decomp.Build gives k=%d, %d centers, counts %d/%d/%d",
+			got.K(), got.NumCenters(), got.PrimaryCount, got.SecondaryCount, got.ExtraPrimaries,
+			want.K(), want.NumCenters(), want.PrimaryCount, want.SecondaryCount, want.ExtraPrimaries)
+	}
+	m := asym.NewMeter(1)
+	for i := 0; i < got.NumCenters(); i++ {
+		if a, b := got.Center(m, i), want.Center(m, i); a != b {
+			t.Fatalf("center %d is %d; decomp.Build stores %d", i, a, b)
 		}
-		st := e.Stats()
-		if rec := st.Rebuilds[len(st.Rebuilds)-1]; rec.Strategies["conn"] != StrategyPatchedInsert || rec.Strategies["bicc"] != StrategyLazy {
-			t.Fatalf("strategies %+v, want conn patched-insert, bicc lazy", rec.Strategies)
+	}
+	for v := int32(0); int(v) < got.Graph().N(); v++ {
+		if got.IsCenter(m, v) != want.IsCenter(m, v) || got.IsPrimary(m, v) != want.IsPrimary(m, v) || got.CenterIndex(m, v) != want.CenterIndex(m, v) {
+			t.Fatalf("vertex %d: center/primary bits or rank differ from decomp.Build", v)
 		}
-		checkBiccRef(t, e)
-		d := e.Bicc().D
-		if d == e.Conn().D || d.Graph() != e.Graph() {
-			t.Fatal("lazy build after a patch must decompose the served graph itself")
-		}
-		if got, want := e.Stats().BuildCosts["bicc"], biccCostOver(e.Graph(), e.K(), seed, nil); got != want {
-			t.Errorf("build_costs.bicc %+v, want bicc.BuildOracle with its own decomposition %+v", got, want)
-		}
-	})
+	}
 }
 
 // prebuilt builds the implicit decomposition of g on a throwaway meter.
