@@ -31,7 +31,7 @@ test:
 # first line: twenty race-built runs of them would take minutes).
 race:
 	$(GO) test -race $(RACE_PKGS)
-	$(GO) test -race -count=20 -run '^(TestEngineWALBeforeStage|TestLazySingleFlight|TestSharedDecomposition|TestBuildOracleParallelDeterministic|TestBuildParallelDeterministic)$$/^(boot|lazy-boot|rebased|patched-insert|patched-delete|uniform|small-components|no-centers|parallel-variant|extension-marks)$$' ./internal/serve/ ./internal/bicc/ ./internal/decomp/
+	$(GO) test -race -count=20 -run '^(TestEngineWALBeforeStage|TestLazySingleFlight|TestSharedDecomposition|TestBuildOracleParallelDeterministic|TestBuildParallelDeterministic)$$/^(boot|lazy-boot|rebased|patched-insert|patched-delete|patched-chain|uniform|small-components|no-centers|parallel-variant|extension-marks)$$' ./internal/serve/ ./internal/bicc/ ./internal/decomp/
 
 # Every paper-table benchmark executes once (smoke); use
 # `go test -bench . -benchtime 3s .` for real measurements.
@@ -39,12 +39,12 @@ bench:
 	$(GO) test -bench . -benchtime 1x -run '^$$' ./...
 
 # The build curves at one and two processors: decomp.Build,
-# decomp.Repair over 16-edge batches (a lazy bicc build's decomposition),
-# bicc.BuildOracle and an engine's boot build (serve.New, which shares one
+# decomp.Repair over one 16-edge batch and over chains of 1-64 of them
+# (where a repair stops paying against Build), bicc.BuildOracle and an engine's boot build (serve.New, which shares one
 # decomposition between its two oracles), all at n = 8192. Charged reads
 # and writes per op must match across -cpu settings; only ns/op may differ.
 bench-build:
-	$(GO) test -run '^$$' -bench '^(BenchmarkBuild(Oracle)?|BenchmarkRepair|BenchmarkEngineNew)$$' -cpu 1,2 -count 3 ./internal/decomp/ ./internal/bicc/ ./internal/serve/
+	$(GO) test -run '^$$' -bench '^(BenchmarkBuild(Oracle)?|BenchmarkRepair(Chain)?|BenchmarkEngineNew)$$' -cpu 1,2 -count 3 ./internal/decomp/ ./internal/bicc/ ./internal/serve/
 
 # Regenerate the committed BENCH_*.json files at the repo root: the pinned
 # engine sweep and the HTTP sweep. Graph shapes and the uniform/powerlaw asymmetric costs are

@@ -125,13 +125,10 @@ func BuildOracle(c *parallel.Ctx, vw graph.View, d *decomp.Decomposition, k int,
 		// out, all of a chunk's into one flat slice; nbrs[ci] is cut from
 		// it by offset once it has stopped growing. On bounded-degree
 		// graphs a cluster has fewer than eight neighbor clusters on
-		// average, and the slice doubles when it runs out.
+		// average.
 		flat := make([]decomp.CenterEdge, 0, 8*(hi-lo))
 		for ci := lo; ci < hi; ci++ {
 			l := d.NeighborCentersS(w.M, w.Sym, w.sc.dsc, d.Center(w.M, ci))
-			if len(flat)+len(l) > cap(flat) {
-				flat = slices.Grow(flat, len(flat)+len(l))
-			}
 			flat = append(flat, l...)
 			ends[ci] = len(flat)
 		}

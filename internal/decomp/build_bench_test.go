@@ -32,12 +32,14 @@ func BenchmarkBuild(b *testing.B) {
 
 // BenchmarkRepair times Repair on BenchmarkBuild's graph and k: each op
 // repairs the decomposition of one graph of a fixed sequence onto the next,
-// which differs by a batch of 16 random edge insertions and removals (the
-// churn-bicc update size). writes/op is what a lazy bicc build pays for its
-// decomposition, against BenchmarkBuild's writes/op for a rebuild; it is
-// the copied center bits plus, when a center flipped (flips/op), the
-// center list and rank directory. touched/op counts the primary clusters
-// the repair redid.
+// which differs by one batch of 16 random edge insertions and removals
+// (the churn-bicc update size). writes/op is what repairing one such batch
+// pays, against BenchmarkBuild's writes/op for a rebuild; it is the copied
+// center bits plus, when a center flipped (flips/op), the center list and
+// rank directory. touched/op counts the primary clusters the repair redid.
+// A lazy bicc build in serve repairs conn's decomposition, which patched
+// conn rungs keep for up to RebaseEvery batches: BenchmarkRepairChain
+// measures repairs across such chains.
 func BenchmarkRepair(b *testing.B) {
 	const batches = 32
 	gs := []*graph.Graph{graph.RandomRegular(8192, 3, 42)}
@@ -59,7 +61,7 @@ func BenchmarkRepair(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		j := i % batches
 		m := asym.NewMeter(64)
-		_, t := repair(parallel.NewCtx(m, asym.NewSymTracker(0)), graph.View{G: gs[j+1], M: m}, ds[j])
+		_, t := repair(parallel.NewCtx(m, asym.NewSymTracker(0)), graph.View{G: gs[j+1], M: m}, ds[j], gs[j+1].N())
 		if t < 0 {
 			b.Fatalf("batch %d fell back to Build", j)
 		}
@@ -70,6 +72,38 @@ func BenchmarkRepair(b *testing.B) {
 	b.ReportMetric(float64(writes)/float64(b.N), "writes/op")
 	b.ReportMetric(float64(touched)/float64(b.N), "touched/op")
 	b.ReportMetric(float64(flipped)/float64(b.N), "flips/op")
+}
+
+// BenchmarkRepairChain times Repair across cumulative chains on
+// BenchmarkBuild's graph and k: batches=j repairs the base graph's
+// decomposition onto the graph after j batches of 16 random edge
+// insertions and removals, with no size fallback. changed/op counts the
+// vertices whose adjacency lists differ. Compare ns/op with BenchmarkBuild
+// at the same -cpu: the chain length where they cross sets
+// repairBreakEven, Repair's fallback to Build.
+func BenchmarkRepairChain(b *testing.B) {
+	gs := []*graph.Graph{graph.RandomRegular(8192, 3, 42)}
+	rng := graph.NewRNG(1)
+	for i := 0; i < 64; i++ {
+		gs = append(gs, randomBatch(b, gs[i], rng, 16, 0.5))
+	}
+	base, _, _ := build(gs[0], 8, 7, Options{})
+	for _, j := range []int{1, 4, 8, 16, 64} {
+		g := gs[j]
+		changed := len(changedVertices(asym.NewMeter(1), gs[0], g))
+		b.Run(fmt.Sprintf("batches=%d", j), func(b *testing.B) {
+			var writes, touched int64
+			for i := 0; i < b.N; i++ {
+				m := asym.NewMeter(64)
+				_, t := repair(parallel.NewCtx(m, asym.NewSymTracker(0)), graph.View{G: g, M: m}, base, g.N())
+				writes += m.Writes()
+				touched += int64(t)
+			}
+			b.ReportMetric(float64(writes)/float64(b.N), "writes/op")
+			b.ReportMetric(float64(touched)/float64(b.N), "touched/op")
+			b.ReportMetric(float64(changed), "changed/op")
+		})
+	}
 }
 
 // benchSink keeps the benchmarked calls' results live.

@@ -203,6 +203,13 @@ type buildWorker struct {
 	marks     []int32     // extension: vertices to mark primary after the pass
 	redo      []int32     // extension: vertices to search again after the marks
 	skipped   *asym.Meter // SkippedWalkReads: charged the walks clusterSearch skips
+
+	// Repair's rounds (repair.go) hand back through these.
+	oldHits, newHits []int32 // round one: old and new ρ0 of changed vertices
+	found            []int32 // round two: other-side ρ0 of cluster members
+	members          []int32 // non-primary members of touched old clusters
+	list             []int32 // one cluster listing
+	exhausted        bool    // a capped search exhausted a primary-free component of >= k vertices
 }
 
 // newBuildWorkers returns one worker per GOMAXPROCS processor. The

@@ -44,7 +44,7 @@ func fieldsOf(d *Decomposition) decompFields {
 func repairAndBuild(t testing.TB, old *Decomposition, g *graph.Graph) (*Decomposition, int) {
 	t.Helper()
 	m := asym.NewMeter(64)
-	got, touched := repair(parallel.NewCtx(m, asym.NewSymTracker(0)), graph.View{G: g, M: m}, old)
+	got, touched := repair(parallel.NewCtx(m, asym.NewSymTracker(0)), graph.View{G: g, M: m}, old, g.N())
 	want, _, _ := build(g, old.k, old.seed, old.opt)
 	if got.g != g {
 		t.Fatal("the repaired decomposition is not over the new graph")
@@ -257,5 +257,35 @@ func TestRepairKeepsOptions(t *testing.T) {
 				d, _ = repairAndBuild(t, d, h)
 			}
 		})
+	}
+}
+
+// TestRepairFallsBackPastBreakEven checks Repair's size fallback: a batch
+// that changes more than n/repairBreakEven vertices is rebuilt, one that
+// changes fewer is repaired, and both store what Build does.
+func TestRepairFallsBackPastBreakEven(t *testing.T) {
+	g := graph.RandomRegular(2048, 3, 42)
+	d, _, _ := build(g, 8, 7, Options{})
+	limit := g.N() / repairBreakEven
+	rng := graph.NewRNG(5)
+	for _, tc := range []struct {
+		edits   int
+		rebuilt bool
+	}{{limit / 4, false}, {2 * limit, true}} {
+		h := randomBatch(t, g, rng, tc.edits, 0.5)
+		changed := len(changedVertices(asym.NewMeter(1), g, h))
+		if changed > limit != tc.rebuilt {
+			t.Fatalf("%d edits changed %d vertices against the limit %d", tc.edits, changed, limit)
+		}
+		m := asym.NewMeter(64)
+		got := Repair(parallel.NewCtx(m, asym.NewSymTracker(0)), graph.View{G: h, M: m}, d)
+		want, _, _ := build(h, 8, 7, Options{})
+		if !reflect.DeepEqual(fieldsOf(got), fieldsOf(want)) {
+			t.Fatalf("%d changed vertices: Repair stored other fields than Build", changed)
+		}
+		// A repair shares the primary bits with old; a rebuild samples anew.
+		if rebuilt := got.isPrimary != d.isPrimary; rebuilt != tc.rebuilt {
+			t.Errorf("%d changed vertices (limit %d): rebuilt = %v, want %v", changed, limit, rebuilt, tc.rebuilt)
+		}
 	}
 }

@@ -368,7 +368,11 @@ type snapshot struct {
 	g        *graph.Graph
 	conn     *conn.Oracle
 	connCost asym.Cost
-	bicc     biccBuilt
+	// connDEpoch is the epoch whose graph conn's decomposition decomposes:
+	// patched conn rungs keep the decomposition, so it lags epoch along a
+	// patch chain.
+	connDEpoch int64
+	bicc       biccBuilt
 	// biccEpoch is the epoch bicc's state was built at: == epoch when
 	// fresh, lagging while deferred, -1 when never built.
 	biccEpoch int64
@@ -385,6 +389,8 @@ type biccBuilt struct {
 	o     *bicc.Oracle
 	cache *bicc.ClusterCache
 	cost  asym.Cost
+	// dEpoch is the epoch whose graph o's decomposition decomposes.
+	dEpoch int64
 }
 
 // effectiveBicc returns the bicc instance the strict query path serves,
@@ -564,6 +570,7 @@ func New(g *graph.Graph, cfg Config) *Engine {
 		e.kinds[i].meter = asym.NewMeter(omega)
 	}
 	co, connCost, bb := e.buildOracles(g, !cfg.LazyBoot)
+	bb.dEpoch = cfg.InitialEpoch
 	if len(cfg.InitialForest) > 0 || cfg.InitialChainDepth > 0 {
 		// Recovery: adopt the persisted forest + chain depth. A forest the
 		// oracle rejects (stale against the recovered graph) is dropped —
@@ -578,7 +585,7 @@ func New(g *graph.Graph, cfg Config) *Engine {
 		// Never built; the first biconnectivity query builds.
 		biccEpoch, biccLazy = -1, &lazySlot{}
 	}
-	e.snap.Store(&snapshot{epoch: cfg.InitialEpoch, g: g, conn: co, connCost: connCost, bicc: bb, biccEpoch: biccEpoch, biccLazy: biccLazy})
+	e.snap.Store(&snapshot{epoch: cfg.InitialEpoch, g: g, conn: co, connCost: connCost, connDEpoch: cfg.InitialEpoch, bicc: bb, biccEpoch: biccEpoch, biccLazy: biccLazy})
 	e.met = newEngineMetrics(cfg.Metrics, cfg.GraphName, e)
 	return e
 }

@@ -67,12 +67,14 @@ func (e *Engine) resolveBicc(s *snapshot, bounded bool) (*biccBuilt, int64, erro
 // Conn queries never arrive here, so they never block. The build charges
 // a fresh meter — its cost surfaces as the slot's build cost, not on any
 // query's per-kind meter, so per-query telemetry is identical whether the
-// build was eager or lazy. It builds over conn's decomposition repaired
-// onto the snapshot's graph (decomp.Repair), charged to the same meter, so
-// the slot's cost (build_costs.bicc) is the repair plus bicc.BuildOracle.
-// The repair is free when conn's rung (boot, full, rebased) decomposed the
-// served graph itself, and redoes only the clusters a patch chain touched
-// otherwise.
+// build was eager or lazy. It builds over the newest decomposition at hand
+// repaired onto the snapshot's graph (decomp.Repair), charged to the same
+// meter, so the slot's cost (build_costs.bicc) is the repair plus
+// bicc.BuildOracle. The newest is the carried bicc instance's when it was
+// built after conn's rung last decomposed, else conn's. The repair is free
+// when that decomposition is of the served graph itself, redoes only the
+// clusters the batches since then touched, and is a rebuild when they
+// changed too much of the graph for a repair to pay.
 func (e *Engine) buildLazy(s *snapshot) (*biccBuilt, error) {
 	slot := s.biccLazy
 	slot.mu.Lock()
@@ -90,7 +92,12 @@ func (e *Engine) buildLazy(s *snapshot) (*biccBuilt, error) {
 		}()
 		m := asym.NewMeter(e.omega)
 		c := parallel.NewCtx(m, asym.NewSymTracker(e.sym))
-		lb = e.buildBicc(c, decomp.Repair(c, graph.View{G: s.g, M: m}, s.conn.D))
+		base := s.conn.D
+		if s.bicc.o != nil && s.bicc.dEpoch > s.connDEpoch {
+			base = s.bicc.o.D
+		}
+		lb = e.buildBicc(c, decomp.Repair(c, graph.View{G: s.g, M: m}, base))
+		lb.dEpoch = s.epoch
 		return nil
 	}()
 	if err != nil {

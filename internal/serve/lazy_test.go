@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"fmt"
 	"sync"
 	"testing"
 
@@ -390,4 +391,75 @@ func TestCarriedClusterCounters(t *testing.T) {
 			t.Fatalf("after removing %v: retired %+v, want the replaced instance's %+v once", edge, retired(), countsOf(first))
 		}
 	}
+}
+
+// BenchmarkLazyBiccBuild times the query-triggered bicc builds along a
+// chain of patched conn rungs, the serving path's use of decomp.Repair:
+// each op boots an engine on a uniform 3-regular graph (n = 8192, ω = 64,
+// seed 7, no scheduled rebase) and publishes 64 batches of 8 random edge
+// insertions and 8 removals, the same chain in every sub-benchmark. After
+// every every=j batches a strict biconnectivity query builds bicc over the
+// newest decomposition repaired onto the served graph: j batches old when
+// the previous lazy build's is at hand, all of the chain for j = 64.
+// ns/op is the time spent in those builds (the publishes are untimed);
+// ms/build and writes/build (build_costs.bicc) are per lazy build. full/op
+// counts the conn rungs that rebuilt because a removal split a component.
+// Compare ms/build with BenchmarkEngineNew, whose boot build decomposes
+// from scratch.
+func BenchmarkLazyBiccBuild(b *testing.B) {
+	const chain = 64
+	g := graph.RandomRegular(8192, 3, 42)
+	for _, every := range []int{1, 8, chain} {
+		b.Run(fmt.Sprintf("every=%d", every), func(b *testing.B) {
+			var writes, full, builds int64
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				e := New(g, Config{Omega: 64, Seed: 7, RebaseEvery: -1})
+				rng := graph.NewRNG(1)
+				for batch := 1; batch <= chain; batch++ {
+					if _, err := e.Update(randomNetBatch(e.Graph(), rng, 8), true); err != nil {
+						b.Fatal(err)
+					}
+					if batch%every != 0 {
+						continue
+					}
+					b.StartTimer()
+					e.Query(Query{Kind: KindArticulation, U: 0})
+					b.StopTimer()
+					writes += e.Stats().BuildCosts["bicc"].Writes
+					builds++
+				}
+				for _, rec := range e.Stats().Rebuilds {
+					if rec.Strategies["conn"] == StrategyFull {
+						full++
+					}
+				}
+				e.Close()
+			}
+			b.StartTimer()
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(builds)/1e6, "ms/build")
+			b.ReportMetric(float64(writes)/float64(builds), "writes/build")
+			b.ReportMetric(float64(full)/float64(b.N), "full/op")
+		})
+	}
+}
+
+// randomNetBatch returns an update of size random insertions and size
+// removals of distinct random edges of g.
+func randomNetBatch(g *graph.Graph, rng *graph.RNG, size int) Update {
+	var u Update
+	edges := g.Edges()
+	picked := map[int]bool{}
+	for len(u.Remove) < size {
+		if i := rng.Intn(len(edges)); !picked[i] {
+			picked[i] = true
+			u.Remove = append(u.Remove, edges[i])
+		}
+	}
+	for len(u.Add) < size {
+		if a, c := int32(rng.Intn(g.N())), int32(rng.Intn(g.N())); a != c {
+			u.Add = append(u.Add, [2]int32{a, c})
+		}
+	}
+	return u
 }

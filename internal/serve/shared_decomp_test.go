@@ -13,11 +13,12 @@ import (
 
 // TestSharedDecomposition pins one implicit decomposition per graph
 // version: the boot build hands conn's decomposition to bicc, and a lazy
-// bicc build runs over conn's decomposition repaired onto the served graph
-// (decomp.Repair). That is conn's own decomposition whenever conn's rung
-// (boot, full, rebased) decomposed the served graph, and after a patch a
-// repaired one that stores exactly what decomp.Build would. conn's build
-// cost includes the shared decomposition; bicc's includes only the repair.
+// bicc build runs over the newest decomposition at hand (conn's, or the
+// previous bicc build's) repaired onto the served graph (decomp.Repair).
+// That is conn's own decomposition whenever conn's rung (boot, full,
+// rebased) decomposed the served graph, and after a patch a repaired one
+// that stores exactly what decomp.Build would. conn's build cost includes
+// the shared decomposition; bicc's includes only the repair.
 // After every step the four bicc kinds must answer as bicc.Ref on the
 // served graph. The subtest names are in the subtest filter of the
 // -count=20 line of `make race`.
@@ -124,6 +125,38 @@ func TestSharedDecomposition(t *testing.T) {
 			}
 		})
 	}
+
+	// Along a patch chain the lazy build repairs the newest decomposition at
+	// hand: the previous lazy build's, not conn's from the chain start.
+	t.Run("patched-chain", func(t *testing.T) {
+		e := New(g, Config{Omega: omega, Seed: seed})
+		defer e.Close()
+		var prev *decomp.Decomposition
+		for i := int32(0); i < 2; i++ {
+			if _, err := e.Update(bridge(2*i), true); err != nil {
+				t.Fatal(err)
+			}
+			checkBiccRef(t, e)
+			d := e.Bicc().D
+			sameDecomposition(t, d, prebuilt(e.Graph(), e.K(), seed))
+			if i == 1 {
+				cost := func(old *decomp.Decomposition) asym.Cost {
+					rm := asym.NewMeter(omega)
+					repaired := decomp.Repair(parallel.NewCtx(rm, asym.NewSymTracker(0)), graph.View{G: e.Graph(), M: rm}, old)
+					return rm.Snapshot().Add(biccCostOver(e.Graph(), e.K(), seed, repaired))
+				}
+				want, fromConn := cost(prev), cost(e.Conn().D)
+				if want == fromConn {
+					t.Fatal("repairing either decomposition costs the same; the check cannot tell them apart")
+				}
+				if got := e.Stats().BuildCosts["bicc"]; got != want {
+					t.Errorf("build_costs.bicc %+v, want decomp.Repair of the previous lazy build's decomposition plus bicc.BuildOracle %+v (from conn's: %+v)",
+						got, want, fromConn)
+				}
+			}
+			prev = d
+		}
+	})
 }
 
 // sameDecomposition fails the test unless got stores what want does: the

@@ -437,7 +437,11 @@ func (e *Engine) buildNext(cur *snapshot, batches []*updateBatch) (*snapshot, Re
 	if biccStrat == StrategyLazy {
 		lazy = &lazySlot{}
 	}
-	next := &snapshot{epoch: cur.epoch + 1, g: newG, conn: co, connCost: connCost, bicc: bb, biccEpoch: biccEpoch, biccLazy: lazy}
+	connDEpoch := cur.connDEpoch
+	if co.D != cur.conn.D {
+		connDEpoch = cur.epoch + 1 // the rung decomposed newG
+	}
+	next := &snapshot{epoch: cur.epoch + 1, g: newG, conn: co, connCost: connCost, connDEpoch: connDEpoch, bicc: bb, biccEpoch: biccEpoch, biccLazy: lazy}
 	return next, rec, nil
 }
 
