@@ -41,10 +41,12 @@ bench:
 # The build curves at one and two processors: decomp.Build,
 # decomp.Repair over one 16-edge batch and over chains of 1-64 of them
 # (where a repair stops paying against Build), bicc.BuildOracle and an engine's boot build (serve.New, which shares one
-# decomposition between its two oracles), all at n = 8192. Charged reads
-# and writes per op must match across -cpu settings; only ns/op may differ.
+# decomposition between its two oracles), all at n = 8192, plus one
+# graph publish (graph.Overlay.Build of a 16-edge batch) at n = 8192 and
+# 65536. Charged reads and writes per op must match across -cpu settings;
+# only ns/op may differ.
 bench-build:
-	$(GO) test -run '^$$' -bench '^(BenchmarkBuild(Oracle)?|BenchmarkRepair(Chain)?|BenchmarkEngineNew)$$' -cpu 1,2 -count 3 ./internal/decomp/ ./internal/bicc/ ./internal/serve/
+	$(GO) test -run '^$$' -bench '^(BenchmarkBuild(Oracle)?|BenchmarkRepair(Chain)?|BenchmarkEngineNew|BenchmarkOverlayBuild)$$' -cpu 1,2 -count 3 ./internal/decomp/ ./internal/bicc/ ./internal/serve/ ./internal/graph/
 
 # Regenerate the committed BENCH_*.json files at the repo root: the pinned
 # engine sweep and the HTTP sweep. Graph shapes and the uniform/powerlaw asymmetric costs are
@@ -91,13 +93,15 @@ bench-check:
 
 # Short native fuzz runs (plain `go test` runs only the seed corpora): the
 # /batch codec against encoding/json, the bicc block solver against Ref on
-# small multigraphs, and decomp.Repair against decomp.Build on fuzzed edge
-# batches. The budget is an exec count, not a duration: a time-based
-# -fuzztime can stall on a 2-vCPU machine.
+# small multigraphs, decomp.Repair against decomp.Build on fuzzed edge
+# batches, and graph.Overlay.Build against graph.FromEdges on fuzzed
+# multigraphs and batches. The budget is an exec count, not a duration:
+# a time-based -fuzztime can stall on a 2-vCPU machine.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzBatchDecode$$' -fuzztime 5000x ./internal/serve/
 	$(GO) test -run '^$$' -fuzz '^FuzzLocalBlocks$$' -fuzztime 5000x ./internal/bicc/
 	$(GO) test -run '^$$' -fuzz '^FuzzRepair$$' -fuzztime 5000x ./internal/decomp/
+	$(GO) test -run '^$$' -fuzz '^FuzzOverlayBuild$$' -fuzztime 5000x ./internal/graph/
 
 # gofmt + vet + the repository's own invariant analyzers (weclint: metered
 # access, snapshot immutability, typed errors, the zero-alloc hot path,

@@ -396,7 +396,7 @@ func (b *BCLabeling) BlockCutTree(m *asym.Meter) [][2]int32 {
 // the number of bridges, so materializing it costs O(#bridges) beyond the
 // O(m) read scan.
 //
-//wec:unmetered the CSR scan charges one read per adjacency slot and m.Read(2) per bridge endpoint pair
+//wec:unmetered the adjacency scan charges one read per adjacency slot and m.Read(2) per bridge endpoint pair
 func (b *BCLabeling) BridgeBlockTree(m *asym.Meter) [][2]int32 {
 	var out [][2]int32
 	for v := 0; v < b.g.N(); v++ {

@@ -58,7 +58,7 @@ func (o *Oracle) InsertionIsNoop(m *asym.Meter, sym *asym.SymTracker, sc *Scratc
 //
 //wec:noalloc
 func (o *Oracle) DeletionIsNoop(m *asym.Meter, u, v int32, multiplicityAfter int) bool {
-	// One comparison over already-materialized CSR metadata: charge the
+	// One comparison over already-materialized graph metadata: charge the
 	// multiplicity probe the caller performed.
 	m.Read(1)
 	if u == v {

@@ -159,18 +159,18 @@ func filterCrossEdges(c *parallel.Ctx, vw graph.View, dec ldd.Result) [][2]int32
 	g := vw.G
 	m := vw.M
 	n := g.N()
-	// Directed slot enumeration: slot t is the t-th adjacency word; the
-	// CSR offsets identify its owning vertex. pred keeps the {v < u}
-	// halves whose endpoints lie in different clusters.
+	// Directed slot enumeration: slot t is the t-th adjacency word in
+	// vertex order; the degrees identify its owning vertex. pred keeps the
+	// {v < u} halves whose endpoints lie in different clusters.
 	vertexOf := make([]int32, 0, 2*g.M())
 	for v := 0; v < n; v++ {
-		for j := 0; j < g.Degree(v); j++ { //wec:unmetered CSR offset lookup; the slot reads themselves are charged in the filter
+		for j := 0; j < g.Degree(v); j++ { //wec:unmetered degree lookup; the slot reads themselves are charged in the filter
 			vertexOf = append(vertexOf, int32(v))
 		}
 	}
 	slotBase := make([]int, n+1)
 	for v := 0; v < n; v++ {
-		slotBase[v+1] = slotBase[v] + g.Degree(v) //wec:unmetered CSR offset lookup, covered by the m.Op(n) charge below
+		slotBase[v+1] = slotBase[v] + g.Degree(v) //wec:unmetered degree lookup, covered by the m.Op(n) charge below
 	}
 	m.Op(n)
 	slots := parallel.Filter(c, len(vertexOf), func(slot int) bool {

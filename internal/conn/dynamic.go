@@ -174,8 +174,8 @@ func (o *Oracle) ApplyInsertions(m *asym.Meter, sym *asym.SymTracker, edges [][2
 // current effective graph minus the removed edges, absorbing the batch
 // without reconstruction whenever connectivity is preserved. next must be
 // the already-materialized post-batch graph (the serving layer builds the
-// new CSR for every strategy anyway); it is consulted for surviving edge
-// multiplicities and for the replacement-edge search. The receiver is not
+// new graph version for every strategy anyway); it is consulted for
+// surviving edge multiplicities and for the replacement-edge search. The receiver is not
 // modified (copy-on-write snapshot discipline).
 //
 // Per removed edge: a non-forest edge costs O(1) reads (connectivity is
@@ -339,7 +339,7 @@ func (o *Oracle) AdoptForest(edges [][2]int32, chainDepth int) (*Oracle, error) 
 
 // Rebase collapses the oracle's remap chain onto a freshly computed
 // decomposition over the current effective graph (vw must wrap its
-// materialized CSR): a full reconstruction with fresh canonical labels, a
+// materialized graph): a full reconstruction with fresh canonical labels, a
 // nil remap table, a reseeded spanning forest, and chain depth 0. The
 // receiver keeps serving its own snapshot untouched. This is the periodic
 // re-basing the serving layer schedules after RebaseEvery chained

@@ -90,7 +90,7 @@ func BenchmarkRepairChain(b *testing.B) {
 	base, _, _ := build(gs[0], 8, 7, Options{})
 	for _, j := range []int{1, 4, 8, 16, 64} {
 		g := gs[j]
-		changed := len(changedVertices(asym.NewMeter(1), gs[0], g))
+		changed := len(graph.ChangedVertices(asym.NewMeter(1), gs[0], g))
 		b.Run(fmt.Sprintf("batches=%d", j), func(b *testing.B) {
 			var writes, touched int64
 			for i := 0; i < b.N; i++ {

@@ -39,9 +39,10 @@ const repairBreakEven = 32
 // Build returns for old's k, seed and options, where old decomposes another
 // graph on the same vertices, and shares every array the change leaves
 // intact with old. Its work is proportional to the change, apart from one
-// read-only scan of both adjacency structures:
+// read-only scan of both graphs' block tables:
 //
-//  1. The scan finds the vertices whose adjacency lists differ.
+//  1. The scan (graph.ChangedVertices) finds the vertices whose adjacency
+//     lists differ, reading only the blocks the two graphs do not share.
 //  2. The touched primaries are the old and new ρ0 of each such vertex,
 //     plus the new ρ0 of every member of the old clusters of the old ρ0s
 //     and the old ρ0 of every member of the new clusters of the new ρ0s.
@@ -97,7 +98,7 @@ func repair(c *parallel.Ctx, vw graph.View, old *Decomposition, maxChanged int) 
 		PrimaryCount:   old.PrimaryCount,
 		SecondaryCount: old.SecondaryCount,
 	}
-	changed := changedVertices(m, old.g, vw.G)
+	changed := graph.ChangedVertices(m, old.g, vw.G)
 	if len(changed) == 0 {
 		return d, 0
 	}
@@ -222,24 +223,6 @@ func repair(c *parallel.Ctx, vw graph.View, old *Decomposition, maxChanged int) 
 func sortedSet(ids []int32) []int32 {
 	slices.Sort(ids)
 	return slices.Compact(ids)
-}
-
-// changedVertices returns, in increasing order, the vertices whose
-// adjacency lists differ between a and b, two graphs on the same vertices:
-// one read-only scan of both CSR structures, charging m one read per
-// degree and adjacency slot.
-func changedVertices(m *asym.Meter, a, b *graph.Graph) []int32 {
-	var out []int32
-	reads := 0
-	for v := 0; v < a.N(); v++ {
-		x, y := a.Adj(v), b.Adj(v) //wec:unmetered charged by the m.Read(reads) below
-		reads += 2 + len(x) + len(y)
-		if !slices.Equal(x, y) {
-			out = append(out, int32(v))
-		}
-	}
-	m.Read(reads)
-	return out
 }
 
 // rho0 returns ρ0(v), or -1 when v's component has no primary.

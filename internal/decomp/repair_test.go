@@ -273,7 +273,7 @@ func TestRepairFallsBackPastBreakEven(t *testing.T) {
 		rebuilt bool
 	}{{limit / 4, false}, {2 * limit, true}} {
 		h := randomBatch(t, g, rng, tc.edits, 0.5)
-		changed := len(changedVertices(asym.NewMeter(1), g, h))
+		changed := len(graph.ChangedVertices(asym.NewMeter(1), g, h))
 		if changed > limit != tc.rebuilt {
 			t.Fatalf("%d edits changed %d vertices against the limit %d", tc.edits, changed, limit)
 		}

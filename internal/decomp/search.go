@@ -86,7 +86,7 @@ type searchState struct {
 //
 // The search charges one op per reached vertex. With a non-nil scratch
 // the parent table and traversal slices are reused buffers (the zero-alloc
-// serving path) and adjacency lists are iterated directly off the CSR
+// serving path) and adjacency lists are iterated directly off the graph
 // span, with reads charged in bulk for each expanded vertex's degree and
 // exactly the slots scanned. The ops and these reads are charged in one
 // meter update each when the search returns, instead of one per vertex or
@@ -155,16 +155,17 @@ func (d *Decomposition) search(m *asym.Meter, sym *asym.SymTracker, sc *Scratch,
 	for len(frontier) > 0 {
 		next = next[:0]
 		for _, x := range frontier {
-			deg := d.g.Degree(int(x)) //wec:unmetered charged below, on the path that scans x
+			adj := d.g.Adj(int(x)) //wec:unmetered charged below, on the path that scans x
+			deg := len(adj)
 			order := d.neighborOrder(callSeed, x, deg)
 			var span []int32
 			if sc != nil && order == nil {
-				// Zero-alloc path: iterate the CSR span in place. The
+				// Zero-alloc path: iterate the adjacency span in place. The
 				// degree read and the slots actually scanned are counted
 				// in spanReads and charged once at release, so charged
 				// totals match the per-slot Neighbor path exactly, even
 				// when visit stops the search mid-scan.
-				span = d.g.Adj(int(x)) //wec:unmetered span reads are bulk-charged at release (see above)
+				span = adj
 				spanReads++
 			} else {
 				m.Read(1) // the degree read

@@ -1,7 +1,9 @@
 package graph
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 
 	"repro/internal/asym"
 )
@@ -90,34 +92,88 @@ func (o *Overlay) RemoveEdges(edges [][2]int32) error {
 	return nil
 }
 
-// Build materializes the overlay as a new immutable Graph, charging the
-// construction to m: one read per base adjacency slot scanned and one write
-// per word of the new CSR (offsets plus adjacency), the cost of writing the
-// next snapshot into asymmetric memory. The base is not modified.
+// adjDelta is one staged change to a vertex's adjacency list: d copies of
+// neighbor u added to (d > 0) or removed from (d < 0) v's list.
+type adjDelta struct{ v, u, d int32 }
+
+// Build materializes the overlay as a new immutable Graph without touching
+// the base (copy-on-write). It copies the base's block table, rebuilds the
+// blocks that hold an endpoint of a staged edge and shares every other
+// block by pointer. It charges m the table plus the touched blocks: one
+// read per table entry and per base word of a touched block (its offsets
+// and adjacency), one write per word of the new table and of each new
+// block — the cost of writing the next version into asymmetric memory.
 func (o *Overlay) Build(m *asym.Meter) *Graph {
-	edges := make([][2]int32, 0, o.base.M()+o.added-o.removed)
-	pending := make(map[[2]int32]int, len(o.delta))
+	base := o.base
+	ds := make([]adjDelta, 0, 2*len(o.delta))
+	dm := 0
 	for k, d := range o.delta {
-		if d != 0 {
-			pending[k] = d
+		switch {
+		case d == 0:
+		case k[0] == k[1]:
+			ds = append(ds, adjDelta{k[0], k[0], int32(2 * d)})
+		default:
+			ds = append(ds, adjDelta{k[0], k[1], int32(d)}, adjDelta{k[1], k[0], int32(d)})
 		}
+		dm += d
 	}
-	m.Read(2 * o.base.M()) // scan the base adjacency structure
-	for _, e := range o.base.Edges() {
-		if d := pending[e]; d < 0 {
-			pending[e]++ // drop one copy
-			continue
+	slices.SortFunc(ds, func(a, b adjDelta) int {
+		return cmp.Or(cmp.Compare(a.v, b.v), cmp.Compare(a.u, b.u))
+	})
+	g := &Graph{blocks: slices.Clone(base.blocks), n: base.n, m: base.m + dm}
+	reads, writes := len(g.blocks), len(g.blocks)
+	for len(ds) > 0 {
+		b := int(ds[0].v >> blockBits)
+		j := 1
+		for j < len(ds) && int(ds[j].v>>blockBits) == b {
+			j++
 		}
-		edges = append(edges, e)
+		old := base.blocks[b]
+		g.blocks[b] = rebuildBlock(old, b<<blockBits, blockLen(g.n, b), ds[:j])
+		words := blockLen(g.n, b) + 1
+		reads += words + len(old.adj)
+		writes += words + len(g.blocks[b].adj)
+		ds = ds[j:]
 	}
-	for k, d := range pending {
-		for ; d > 0; d-- {
-			edges = append(edges, k)
-		}
-	}
-	g := FromEdges(o.base.N(), edges)
-	m.Write(g.N() + 1 + 2*g.M()) // the new CSR (offsets + adjacency)
+	m.Read(reads)
+	m.Write(writes)
 	return g
+}
+
+// rebuildBlock returns a copy of old, the block of the cnt vertices from
+// lo, with the sorted changes ds applied: each changed list is merged with
+// its additions and drops its removed copies, so it stays sorted.
+func rebuildBlock(old *block, lo, cnt int, ds []adjDelta) *block {
+	size := int32(len(old.adj))
+	for _, d := range ds {
+		size += d.d
+	}
+	nb := &block{adj: make([]int32, size)}
+	at := int32(0)
+	for i := 0; i < cnt; i++ {
+		nb.off[i] = at
+		a := old.adj[old.off[i]:old.off[i+1]]
+		for len(ds) > 0 && int(ds[0].v) == lo+i {
+			d := ds[0]
+			ds = ds[1:]
+			k, _ := slices.BinarySearch(a, d.u)
+			at += int32(copy(nb.adj[at:], a[:k]))
+			a = a[k:]
+			if d.d < 0 {
+				a = a[-d.d:] // RemoveEdges checked that the copies exist
+				continue
+			}
+			for c := int32(0); c < d.d; c++ {
+				nb.adj[at] = d.u
+				at++
+			}
+		}
+		at += int32(copy(nb.adj[at:], a))
+	}
+	for i := cnt; i <= blockSize; i++ {
+		nb.off[i] = at
+	}
+	return nb
 }
 
 // BuildPlain materializes the overlay without cost accounting — for I/O and

@@ -20,9 +20,11 @@ import (
 // never block reads.
 //
 // Strategy selection is one ladder per oracle, chosen per coalesced batch
-// (the new graph CSR is written in every case — full rebuilds and the
-// deletion path's replacement search need it). The two ladders run in
-// parallel.
+// (the new graph version is written in every case — full rebuilds and the
+// deletion path's replacement search need it). The graph is a blocked
+// copy-on-write structure, so that write is the block table plus the
+// blocks holding a batch endpoint; every other block is shared with the
+// current snapshot's graph. The two ladders run in parallel.
 //
 // conn (never deferred — its kinds gate admission semantics):
 //
@@ -126,7 +128,7 @@ type RebuildRecord struct {
 	Batches      int                  `json:"batches"`              // update batches coalesced in
 	AddedEdges   int                  `json:"added_edges"`
 	RemovedEdges int                  `json:"removed_edges"`
-	GraphCost    asym.Cost            `json:"graph_cost"` // writing the new CSR
+	GraphCost    asym.Cost            `json:"graph_cost"` // writing the new graph version: block table plus touched blocks
 	OracleCosts  map[string]asym.Cost `json:"oracle_costs,omitempty"`
 	Duration     time.Duration        `json:"duration_ns"`
 	Err          string               `json:"error,omitempty"`
@@ -364,8 +366,9 @@ func (e *Engine) rebuildLoop() {
 }
 
 // buildNext folds the staged batches into a new snapshot, walking the conn
-// and bicc ladders in parallel (see the file header). The new graph CSR is
-// written in every case — full rebuilds need it and the deletion path's
+// and bicc ladders in parallel (see the file header). The new graph version
+// (a copied block table with the batch's blocks rebuilt) is written in
+// every case — full rebuilds need it and the deletion path's
 // replacement search runs over it.
 func (e *Engine) buildNext(cur *snapshot, batches []*updateBatch) (*snapshot, RebuildRecord, error) {
 	rec := RebuildRecord{Epoch: cur.epoch + 1, Batches: len(batches), Strategy: StrategyFull}

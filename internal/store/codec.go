@@ -51,7 +51,7 @@ import (
 //	CRC32-C over everything above, 4 bytes LE
 //
 // The overlay section lets a snapshot be expressed as base + staged
-// multiset delta without materializing the merged CSR first; the serving
+// multiset delta without materializing the merged graph first; the serving
 // daemon writes compacted snapshots with an empty overlay, but the codec
 // (and its property tests) treat a populated one as first-class. The remap
 // section preserves the connectivity oracle's label-merge table and the
