@@ -92,14 +92,15 @@ bench-check:
 	  GOFLAGS=-mod=mod GOWORK=off $(GO) test ./...
 
 # Short native fuzz runs (plain `go test` runs only the seed corpora): the
-# /batch codec against encoding/json, the bicc block solver against Ref on
-# small multigraphs, decomp.Repair against decomp.Build on fuzzed edge
-# batches, and graph.Overlay.Build against graph.FromEdges on fuzzed
-# multigraphs and batches. The budget is an exec count, not a duration:
+# /batch codec against encoding/json, the bicc block solver and the whole
+# bicc oracle against Ref on small multigraphs, decomp.Repair against
+# decomp.Build on fuzzed edge batches, and graph.Overlay.Build against
+# graph.FromEdges on fuzzed multigraphs and batches. The budget is an exec count, not a duration:
 # a time-based -fuzztime can stall on a 2-vCPU machine.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzBatchDecode$$' -fuzztime 5000x ./internal/serve/
 	$(GO) test -run '^$$' -fuzz '^FuzzLocalBlocks$$' -fuzztime 5000x ./internal/bicc/
+	$(GO) test -run '^$$' -fuzz '^FuzzOracle$$' -fuzztime 5000x ./internal/bicc/
 	$(GO) test -run '^$$' -fuzz '^FuzzRepair$$' -fuzztime 5000x ./internal/decomp/
 	$(GO) test -run '^$$' -fuzz '^FuzzOverlayBuild$$' -fuzztime 5000x ./internal/graph/
 

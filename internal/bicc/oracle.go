@@ -4,6 +4,7 @@ import (
 	"runtime"
 	"slices"
 
+	"repro/internal/asym"
 	"repro/internal/decomp"
 	"repro/internal/eulertour"
 	"repro/internal/graph"
@@ -237,7 +238,12 @@ func BuildOracle(c *parallel.Ctx, vw graph.View, d *decomp.Decomposition, k int,
 		}
 	}
 	m.Write(np)
-	// Components of the clusters graph minus critical tree edges.
+	// Components of the clusters graph minus critical tree edges. The
+	// parallel copies of a tree edge are back edges to the parent, which
+	// low/high above already account for; they must not union the child
+	// with its parent, or a critical tree edge's block would merge with
+	// the parent's. A non-tree edge of the BFS tree never joins a cluster
+	// to a proper ancestor, so unioning its endpoints is sound.
 	cuf := newRefUF(np)
 	for ci := int32(0); ci < int32(np); ci++ {
 		for _, e := range nbrs[ci] {
@@ -245,7 +251,7 @@ func BuildOracle(c *parallel.Ctx, vw graph.View, d *decomp.Decomposition, k int,
 			if cj < ci {
 				continue
 			}
-			if isTreeEdge(ci, cj) && e.Multiplicity == 1 {
+			if isTreeEdge(ci, cj) {
 				child := ci
 				if o.parentCluster[cj] == ci {
 					child = cj
@@ -269,14 +275,15 @@ func BuildOracle(c *parallel.Ctx, vw graph.View, d *decomp.Decomposition, k int,
 	}
 	m.Write(np)
 	// Cluster tree edge (P, C) is a bridge of G iff it is a bridge of the
-	// clusters multigraph: C's component is the singleton {C}.
+	// clusters multigraph: it has one copy and C's component is the
+	// singleton {C}.
 	compSize := map[int32]int32{}
 	for ci := int32(0); ci < int32(np); ci++ {
 		compSize[o.clusterLabel[ci]]++
 	}
 	for ci := int32(0); ci < int32(np); ci++ {
 		if o.parentCluster[ci] != ci && o.clusterLabel[ci] == ci && compSize[ci] == 1 {
-			o.bridgeBit[ci] = true
+			o.bridgeBit[ci] = o.parentMultiplicity(m, nbrs[ci], o.parentCluster[ci]) == 1
 		}
 	}
 	m.Write(np)
@@ -425,6 +432,17 @@ func BuildOracle(c *parallel.Ctx, vw graph.View, d *decomp.Decomposition, k int,
 		o.NumBCC += o.smallComponentBCCs(c, vw, ws)
 	}
 	return o
+}
+
+// parentMultiplicity returns the number of copies of the cluster tree
+// edge to parent p, read from the child's neighbor listing nbrs.
+func (o *Oracle) parentMultiplicity(m *asym.Meter, nbrs []decomp.CenterEdge, p int32) int {
+	for _, e := range nbrs {
+		if int32(o.D.CenterIndex(m, e.Other)) == p {
+			return e.Multiplicity
+		}
+	}
+	return 0
 }
 
 // smallComponentBCCs counts the biconnected components of the small

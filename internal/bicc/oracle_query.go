@@ -60,10 +60,10 @@ func (o *Oracle) local(m *asym.Meter, sym *asym.SymTracker, ci int32) *localGrap
 // and records each ρ in the search scratch, and every later membership
 // test and boundary-edge cluster lookup reads that record. The scratch
 // also supplies the transient build buffers — tree-neighbor list, edge
-// list, buffered boundary edges, labels, the tree-edge skip set and the
-// solver's DFS state — while the returned *localGraph always owns its
-// maps, node list and blocks: it is the artifact the ClusterCache retains,
-// so nothing in it may alias the scratch.
+// list, buffered boundary edges, labels, the tree-edge skip set with its
+// flags and the solver's DFS state — while the returned *localGraph
+// always owns its maps, node list and blocks: it is the artifact the
+// ClusterCache retains, so nothing in it may alias the scratch.
 func (o *Oracle) buildLocal(m *asym.Meter, sym *asym.SymTracker, sc *Scratch, ci int32) *localGraph {
 	if sc == nil {
 		sc = NewScratch()
@@ -125,14 +125,18 @@ func (o *Oracle) buildLocal(m *asym.Meter, sym *asym.SymTracker, sc *Scratch, ci
 	addEdge := func(a, b int32) { edges = append(edges, [2]int32{addNode(a), addNode(b)}) }
 
 	// Category 3 checks a boundary edge against the tree edges, which
-	// Category 1b adds (one copy each) and every copy of which is skipped
-	// here. They are kept as sorted keys, so the check per boundary edge
-	// is a binary search rather than a scan of tns.
+	// Category 1b adds (one copy each), so the scan skips exactly one copy
+	// of each; further parallel copies stay boundary edges and re-attach
+	// to the tree edge's own Vo node. The tree edges are kept as sorted
+	// keys, so the check per boundary edge is a binary search rather than
+	// a scan of tns, and treeSkipped flags the keys whose copy is skipped.
 	tree := sc.tree[:0]
 	for _, tn := range tns {
 		tree = append(tree, edgeKey(tn.inV, tn.outV))
 	}
 	slices.Sort(tree)
+	skipped := slices.Grow(sc.treeSkipped[:0], len(tree))[:len(tree)]
+	clear(skipped)
 
 	// One scan of the members' adjacency serves Categories 1a and 3.
 	// Category 1a: intra-cluster edges, each once; self-loops dropped.
@@ -154,7 +158,8 @@ func (o *Oracle) buildLocal(m *asym.Meter, sym *asym.SymTracker, sc *Scratch, ci
 				}
 				continue
 			}
-			if _, isTree := slices.BinarySearch(tree, edgeKey(v, u)); isTree {
+			if i, isTree := slices.BinarySearch(tree, edgeKey(v, u)); isTree && !skipped[i] {
+				skipped[i] = true
 				continue
 			}
 			cu := int32(d.CenterIndex(m, t))
@@ -215,7 +220,7 @@ func (o *Oracle) buildLocal(m *asym.Meter, sym *asym.SymTracker, sc *Scratch, ci
 	}
 	lg.blocks = solveBlocks(&sc.bs, len(lg.nodes), edges)
 	m.Op(len(lg.nodes) + len(edges))
-	sc.tns, sc.tree, sc.edges, sc.labels, sc.bound = tns, tree, edges, labels, bound
+	sc.tns, sc.tree, sc.treeSkipped, sc.edges, sc.labels, sc.bound = tns, tree, skipped, edges, labels, bound
 	return lg
 }
 
@@ -458,12 +463,15 @@ func (o *Oracle) EdgeBCCLabel(m *asym.Meter, sym *asym.SymTracker, u, v int32) i
 		// Small components have no stored offsets; label by the component's
 		// local BCC id offset by the implicit center (unique per component,
 		// disjoint from stored labels by sign trick: use negative space).
-		b, id := o.smallComponent(m, sym, nil, u)
+		// The component is materialized from that center, so its block
+		// numbering is the same whichever of its edges is asked.
+		r := o.D.Rho(m, sym, u)
+		b, id := o.smallComponent(m, sym, nil, r)
 		lab := b.edgeLabel(id[u], id[v])
 		if lab < 0 {
 			return -1
 		}
-		return -(o.D.Rho(m, sym, u)*int32(o.D.K()) + lab + 2)
+		return -(r*int32(o.D.K()) + lab + 2)
 	}
 	if cu == cv {
 		lg := o.local(m, sym, cu)

@@ -1,6 +1,7 @@
 package bicc
 
 import (
+	"fmt"
 	"testing"
 	"testing/quick"
 
@@ -229,4 +230,70 @@ func TestOracleDeterministic(t *testing.T) {
 			t.Fatal("oracle not deterministic")
 		}
 	}
+}
+
+// sparseGraphs returns the sparse inputs of TestOracleRandomSparse for one
+// seed: G(n,m) graphs near the tree threshold, where components are paths
+// and small cycles hung off each other by bridges and cut vertices, each
+// also with parallel copies of a few of its edges (a doubled bridge is a
+// 2-cycle block, and a doubled cluster tree edge is a parallel edge of the
+// clusters graph).
+func sparseGraphs(seed uint64) map[string]*graph.Graph {
+	out := map[string]*graph.Graph{}
+	rng := graph.NewRNG(seed + 4242)
+	for _, n := range []int{20, 30, 45} {
+		for _, m := range []int{n * 3 / 4, n + n/4} {
+			g := graph.GNM(n, m, 1000*seed+uint64(n*m), false)
+			out[fmt.Sprintf("n=%d/m=%d", n, m)] = g
+			edges := g.Edges()
+			multi := append([][2]int32{}, edges...)
+			for i := 0; i < 1+len(edges)/8; i++ {
+				e := edges[rng.Intn(len(edges))]
+				multi = append(multi, e, e)
+			}
+			out[fmt.Sprintf("n=%d/m=%d/multi", n, m)] = graph.FromEdges(n, multi)
+		}
+	}
+	return out
+}
+
+// TestOracleRandomSparse checks every answer of the oracle against Ref on
+// sparse graphs and multigraphs, over small k and many decomposition
+// seeds: the inputs where the clusters graph is a tree-like multigraph
+// and small primary-free components are common.
+func TestOracleRandomSparse(t *testing.T) {
+	for seed := uint64(1); seed <= 12; seed++ {
+		for name, g := range sparseGraphs(seed) {
+			for k := 2; k <= 5; k++ {
+				t.Run(fmt.Sprintf("seed=%d/%s/k=%d", seed, name, k), func(t *testing.T) {
+					checkOracle(t, g, k, seed)
+				})
+			}
+		}
+	}
+}
+
+// FuzzOracle checks the oracle against Ref on fuzzed small multigraphs
+// (parallel copies and self-loops allowed) under a fuzzed k and
+// decomposition seed. The first three bytes pick n, k and the seed; each
+// further byte pair is an edge.
+func FuzzOracle(f *testing.F) {
+	f.Add([]byte{})
+	f.Add([]byte{2, 0, 1, 0, 1, 1, 2, 2, 0})                                                         // triangle
+	f.Add([]byte{4, 1, 2, 0, 1, 0, 1, 1, 2, 2, 3, 3, 4})                                             // path with a doubled edge
+	f.Add([]byte{19, 2, 5, 0, 1, 0, 19, 1, 2, 2, 3, 14, 15, 14, 16, 15, 16, 16, 17, 17, 18, 18, 19}) // a bridge below a critical cluster tree edge
+	f.Add([]byte{7, 0, 3, 0, 1, 1, 2, 2, 3, 3, 0, 4, 4, 5, 6, 6, 7, 7, 5, 3, 5})                     // two blocks, a self-loop and a bridge
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) < 3 {
+			return
+		}
+		n := 1 + int(data[0])%40
+		k := 2 + int(data[1])%4
+		seed := uint64(data[2])
+		var edges [][2]int32
+		for i := 3; i+1 < len(data); i += 2 {
+			edges = append(edges, [2]int32{int32(int(data[i]) % n), int32(int(data[i+1]) % n)})
+		}
+		checkOracle(t, graph.FromEdges(n, edges), k, seed)
+	})
 }

@@ -1,6 +1,9 @@
 package bicc
 
-import "repro/internal/asym"
+import (
+	"repro/internal/asym"
+	"repro/internal/graph"
+)
 
 // Block-cut-tree patch predicates for the serving layer's update-strategy
 // ladder. The §5.3 oracle's internal structures (sketch tree, span labels,
@@ -10,6 +13,33 @@ import "repro/internal/asym"
 // identical before and after, which makes the stale structures exact for
 // the new graph. Everything else is refused and handled by the engine's
 // lazy rebuild path.
+//
+// Why the absorbed edits keep the build graph's block-cut tree. Let G_b be
+// the graph an instance was built on and G the graph after a batch, and
+// call the number of copies of a pair {u,v} its multiplicity. The caller
+// runs the predicates only for an instance that serves G through absorbed
+// batches alone, so by induction over those batches every pair of G
+// satisfies one of:
+//
+//	(a) mult_G >= mult_b, and the copies beyond mult_b were each accepted
+//	    by InsertionIsNoop: the pair lies inside one non-bridge block of
+//	    G_b;
+//	(b) 2 <= mult_G < mult_b: DeletionIsNoop took copies away only while
+//	    at least two stayed.
+//
+// A multigraph's blocks are those of its simple support (the pairs with
+// at least one copy, self-loops dropped), except that a support bridge
+// with two or more copies is a non-bridge block of its own. In G every
+// support pair of G_b is still present (mult_G >= 1 in both cases); every
+// new support pair joins two vertices of one block of G_b, which closes a
+// cycle inside it and merges nothing; and the one-copy support bridges
+// are those of G_b, because a pair drops to one copy only from one (case
+// a) and InsertionIsNoop never adds a copy of a bridge (its endpoints are
+// not 2-edge connected). So G has G_b's blocks, cut vertices and bridges,
+// and every answer the instance gives about G_b holds for G. Deleting a
+// copy of G_b's own graph is different: removing one edge of a 4-cycle
+// leaves a path with two new cut vertices, so no removal that takes a
+// pair below both mult_b and 2 is absorbed.
 //
 // The predicates are queries in disguise — they charge the caller's meter
 // through the ordinary S-method query path, so a patch attempt's cost is
@@ -44,12 +74,15 @@ func (o *Oracle) InsertionIsNoop(m *asym.Meter, sym *asym.SymTracker, sc *Scratc
 
 // DeletionIsNoop reports whether removing one copy of edge (u,v) leaves
 // every answer unchanged, given the edge's multiplicity in the
-// post-removal graph. Only the two trivially safe cases qualify:
+// post-removal graph. Three cases qualify (see the file header for why):
 //
 //   - a self-loop (never on the block-cut tree);
 //   - a parallel copy whose pair keeps multiplicity >= 2 after the
-//     removal, so the surviving copies still form a 2-cycle and the block
-//     structure is untouched.
+//     removal, so the surviving copies still form a 2-cycle;
+//   - a removal that leaves the pair at least as many copies as the
+//     instance's build graph has: it only takes back copies that
+//     InsertionIsNoop admitted since the build. The build graph's count
+//     is read through a graph.View on m.
 //
 // Anything else is refused: even deleting a cycle edge whose endpoints
 // stay 2-edge connected can split a block at an articulation vertex
@@ -61,8 +94,8 @@ func (o *Oracle) DeletionIsNoop(m *asym.Meter, u, v int32, multiplicityAfter int
 	// One comparison over already-materialized graph metadata: charge the
 	// multiplicity probe the caller performed.
 	m.Read(1)
-	if u == v {
+	if u == v || multiplicityAfter >= 2 {
 		return true
 	}
-	return multiplicityAfter >= 2
+	return multiplicityAfter >= graph.View{G: o.g, M: m}.EdgeMultiplicity(u, v)
 }

@@ -43,10 +43,36 @@ func TestPatchPredicates(t *testing.T) {
 	if !o.DeletionIsNoop(m, e0[0], e0[1], 2) {
 		t.Errorf("removal of one of three copies of %v refused", e0)
 	}
+	// Taking back copies added since the build is absorbed: the pair keeps
+	// at least its build-graph count. That covers a second copy of a build
+	// edge and the chord (0,3), which the build graph does not hold.
+	if !o.DeletionIsNoop(m, e0[0], e0[1], 1) {
+		t.Errorf("removal of an added second copy of %v refused", e0)
+	}
+	if !o.DeletionIsNoop(m, 0, 3, 0) {
+		t.Error("removal of the added chord (0,3) refused")
+	}
+	if m.Writes() != 0 {
+		t.Errorf("deletion checks charged %d writes", m.Writes())
+	}
 	// A self-loop removal never touches the block-cut tree.
 	loopG := graph.FromEdges(g.N(), append(append([][2]int32{}, g.Edges()...), [2]int32{2, 2}))
 	lo, _, _ := buildOracle(loopG, 4, 7)
 	if !lo.DeletionIsNoop(m, 2, 2, 0) {
 		t.Error("self-loop removal refused")
+	}
+
+	// C4: removing a build edge below its build count and below two
+	// copies splits the block into a path with two new cut vertices. It is
+	// refused, with no copy or with one copy of a doubled edge left.
+	c4 := graph.Cycle(4)
+	co, _, _ := buildOracle(c4, 2, 3)
+	if co.DeletionIsNoop(m, 0, 1, 0) {
+		t.Error("C4: removal of edge (0,1) accepted")
+	}
+	doubled := graph.FromEdges(4, append(append([][2]int32{}, c4.Edges()...), [2]int32{0, 1}))
+	do, _, _ := buildOracle(doubled, 2, 3)
+	if do.DeletionIsNoop(m, 0, 1, 1) {
+		t.Error("C4 with (0,1) doubled: removal down to one copy accepted")
 	}
 }

@@ -28,13 +28,14 @@ type treeNbr struct {
 // not change charged costs: meters see exactly the reads/ops a
 // scratch-less query charges.
 type Scratch struct {
-	dsc    *decomp.Scratch
-	tns    []treeNbr
-	tree   []uint64 // the tree edges as sorted edgeKey(inV, outV)
-	edges  [][2]int32
-	bound  [][2]int32 // Category 3 edges (member, Vo vertex), appended last
-	labels []int32
-	bs     blockScratch
+	dsc         *decomp.Scratch
+	tns         []treeNbr
+	tree        []uint64 // the tree edges as sorted edgeKey(inV, outV)
+	treeSkipped []bool   // tree[i]'s one skipped adjacency copy was seen
+	edges       [][2]int32
+	bound       [][2]int32 // Category 3 edges (member, Vo vertex), appended last
+	labels      []int32
+	bs          blockScratch
 }
 
 // NewScratch returns an empty reusable biconnectivity query workspace.

@@ -257,6 +257,35 @@ func (vw View) Neighbor(v, i int) int32 {
 	return b.adj[b.off[v&blockMask]+int32(i)]
 }
 
+// EdgeMultiplicity is Graph.EdgeMultiplicity charged to the meter: one
+// read for u's degree plus one per adjacency slot that the binary search
+// probes or the count of the copies' run reads.
+func (vw View) EdgeMultiplicity(u, v int32) int {
+	vw.M.Read(1)
+	if u < 0 || v < 0 || int(u) >= vw.G.N() || int(v) >= vw.G.N() {
+		return 0
+	}
+	a := vw.G.Adj(int(u))
+	lo, reads := 0, 0
+	for hi := len(a); lo < hi; reads++ {
+		mid := int(uint(lo+hi) >> 1)
+		if a[mid] < v {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	c := 0
+	for lo+c < len(a) && a[lo+c] == v {
+		c++
+	}
+	vw.M.Read(reads + min(c+1, len(a)-lo))
+	if u == v {
+		c /= 2
+	}
+	return c
+}
+
 // VisitNeighbors calls f for each neighbor of v in priority (id) order,
 // charging one read per neighbor plus one for the degree.
 func (vw View) VisitNeighbors(v int, f func(u int32)) {

@@ -454,3 +454,26 @@ func TestMaxDegree(t *testing.T) {
 		t.Fatal("empty graph max degree")
 	}
 }
+
+// TestViewEdgeMultiplicity checks the metered multiplicity probe against
+// the unmetered one on a multigraph with self-loops, absent pairs and
+// out-of-range ids, and that every probe is charged.
+func TestViewEdgeMultiplicity(t *testing.T) {
+	g := FromEdges(6, [][2]int32{{0, 1}, {0, 1}, {0, 1}, {1, 2}, {2, 2}, {2, 2}, {3, 4}, {0, 5}})
+	m := asym.NewMeter(16)
+	vw := View{G: g, M: m}
+	for u := int32(-1); u <= 6; u++ {
+		for v := int32(-1); v <= 6; v++ {
+			before := m.Reads()
+			if got, want := vw.EdgeMultiplicity(u, v), g.EdgeMultiplicity(u, v); got != want {
+				t.Errorf("EdgeMultiplicity(%d,%d) = %d, want %d", u, v, got, want)
+			}
+			if m.Reads() == before {
+				t.Errorf("EdgeMultiplicity(%d,%d) charged no read", u, v)
+			}
+		}
+	}
+	if m.Writes() != 0 {
+		t.Errorf("probes charged %d writes", m.Writes())
+	}
+}

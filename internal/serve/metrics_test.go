@@ -269,8 +269,8 @@ func tracesPage(t *testing.T, base string) obs.TracesPage {
 // updates, and graph create/delete cycles run concurrently — the race
 // gate for every scrape-time func instrument (they read engine and
 // registry state under their own locks). The query mix includes bicc
-// kinds and the updates alternate adding and removing one edge, so bicc
-// instances retire and fold their cluster-cache counters into the engine
+// kinds and the updates alternate removing and re-adding one boot edge, so
+// bicc instances retire and fold their cluster-cache counters into the engine
 // mid-scrape: every scraped wec_cache_*_total{cache="cluster"} value, and
 // Stats().ClusterCache, must never decrease between consecutive reads.
 func TestMetricsScrapeDuringChurn(t *testing.T) {
@@ -279,6 +279,7 @@ func TestMetricsScrapeDuringChurn(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	boot := eng.Graph().Edges()[0]
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
 
@@ -295,14 +296,15 @@ func TestMetricsScrapeDuringChurn(t *testing.T) {
 			q := fmt.Sprintf(`{"kind":%q,"u":%d,"v":%d}`, kinds[i%len(kinds)], i%64, (i*7+1)%64)
 			postJSON(t, ts.URL+"/query", json.RawMessage(q), nil)
 			if i%3 == 0 {
-				// Removing the extra edge again can split a block, so bicc
-				// defers and the next bicc query rebuilds it: the replaced
-				// instance retires.
-				op := "add"
+				// Removing a boot edge is a net change that can split a
+				// block, so bicc defers and the next bicc query rebuilds
+				// it: the replaced instance retires. Re-adding the edge
+				// restores the boot graph.
+				op := "remove"
 				if (i/3)%2 == 1 {
-					op = "remove"
+					op = "add"
 				}
-				postJSON(t, ts.URL+"/update", json.RawMessage(fmt.Sprintf(`{%q:[[0,33]],"wait":true}`, op)), nil)
+				postJSON(t, ts.URL+"/update", json.RawMessage(fmt.Sprintf(`{%q:[[%d,%d]],"wait":true}`, op, boot[0], boot[1])), nil)
 			}
 		}
 	}()

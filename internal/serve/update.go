@@ -46,16 +46,18 @@ import (
 //   patched-insert, patched-delete
 //                  bicc is fresh and every edit of the batch is a provable
 //                  no-op for the block-cut tree (bicc.Oracle.InsertionIsNoop,
-//                  DeletionIsNoop): the instance, with its cluster cache,
-//                  is carried into the new snapshot as fresh.
+//                  DeletionIsNoop), removals that only take back copies
+//                  added since the instance's build included: the
+//                  instance, with its cluster cache, is carried into the
+//                  new snapshot as fresh.
 //   lazy           everything else: the previous instance is carried forward
 //                  as stale (tagged with its built epoch) and a lazySlot is
 //                  planted in the new snapshot. Nothing is built on the
 //                  publish path; the first biconnectivity query pays for
 //                  one single-flight rebuild (lazy.go). Biconnectivity is
-//                  neither insertion- nor deletion-monotone, so a
-//                  conn-only workload churns forever without ever
-//                  rebuilding bicc.
+//                  neither insertion- nor deletion-monotone, so a batch
+//                  that makes a net change to the blocks defers bicc, and
+//                  a conn-only workload never pays for the build.
 //
 // Per-rebuild asymmetric costs (graph / conn / bicc, separately metered),
 // the per-oracle strategies taken, and cumulative per-oracle strategy
@@ -506,9 +508,10 @@ func (e *Engine) biccLadder(cur *snapshot, m *asym.Meter, adds, removes [][2]int
 // biccNoop reports whether every edit of the batch provably leaves b's
 // block-cut tree unchanged, stopping at the first refusal. An insertion is
 // a no-op when it lands strictly inside one block
-// (bicc.Oracle.InsertionIsNoop); a removal when it is a self-loop or a
-// parallel copy whose pair keeps multiplicity >= 2 in the post-batch graph
-// (bicc.Oracle.DeletionIsNoop). Anything else can merge or split blocks.
+// (bicc.Oracle.InsertionIsNoop); a removal when it is a self-loop or its
+// pair keeps, in the post-batch graph, multiplicity >= 2 or at least the
+// copies of b's build graph (bicc.Oracle.DeletionIsNoop). Anything else
+// can merge or split blocks.
 func (e *Engine) biccNoop(b biccBuilt, m *asym.Meter, adds, removes [][2]int32, newG *graph.Graph) bool {
 	sym, sc := asym.NewSymTracker(e.sym), bicc.NewScratch()
 	for _, ed := range adds {

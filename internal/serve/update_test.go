@@ -10,6 +10,7 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"repro/internal/bicc"
 	"repro/internal/graph"
 )
 
@@ -455,5 +456,145 @@ func TestBiccNoopKeepsBuildCost(t *testing.T) {
 	}
 	if c := rec.OracleCosts["bicc"]; c.Reads == 0 || c.Writes != 0 {
 		t.Errorf("rebuild record's bicc cost %+v, want the no-op check's reads and 0 writes", c)
+	}
+	// Taking the chord back leaves the pair the build graph's count (none),
+	// so the same instance absorbs the removal too.
+	if _, err := e.Update(Update{Remove: [][2]int32{{0, 5}}}, true); err != nil {
+		t.Fatal(err)
+	}
+	st = e.Stats()
+	rec = st.Rebuilds[len(st.Rebuilds)-1]
+	if rec.Strategies["bicc"] != StrategyPatchedDelete {
+		t.Fatalf("bicc took %q on the take-back, want the no-op rung %q", rec.Strategies["bicc"], StrategyPatchedDelete)
+	}
+	if got := st.BuildCosts["bicc"]; got != before {
+		t.Errorf("build_costs.bicc moved from %+v to %+v across a no-op take-back", before, got)
+	}
+}
+
+// TestBiccLadderMatchesRef drives random add/remove sequences through the
+// bicc ladder and checks every strict bicc-family answer against bicc.Ref
+// over the published graph after every batch. The batches add random
+// edges, parallel copies of present edges and self-loops; take back copies
+// added earlier; remove a boot edge and later re-add it; and sometimes
+// stage several batches before one publish folds them together. Taking
+// back a copy added after the serving instance's build must be absorbed by
+// the patched-delete rung, so the test also asserts that rung fired.
+func TestBiccLadderMatchesRef(t *testing.T) {
+	for name, g := range map[string]*graph.Graph{
+		"cycle":    graph.Cycle(20),
+		"grid":     graph.Grid2D(5, 6),
+		"regular":  graph.RandomRegular(30, 3, 3),
+		"gnm":      graph.GNM(30, 32, 7, false),
+		"gnm-tree": graph.GNM(24, 23, 8, true),
+	} {
+		for _, seed := range []uint64{1, 5, 9} {
+			t.Run(fmt.Sprintf("%s/seed=%d", name, seed), func(t *testing.T) {
+				checkBiccLadder(t, g, seed)
+			})
+		}
+	}
+}
+
+func checkBiccLadder(t *testing.T, g *graph.Graph, seed uint64) {
+	e := New(g, Config{Omega: 16, Seed: seed})
+	defer e.Close()
+	n := g.N()
+	rng := graph.NewRNG(seed * 31)
+	boot := g.Edges()
+	// Every copy in the graph, staged batches included, is in boot or in
+	// added, so each removal names a present copy.
+	var added, cut [][2]int32 // copies added by the test; boot edges removed
+	// pick removes and returns a random entry, the newest one half the
+	// time: a batch that takes back what the previous one added is the
+	// case the patched-delete rung absorbs.
+	pick := func(es [][2]int32) ([2]int32, [][2]int32) {
+		i := len(es) - 1
+		if rng.Intn(2) == 0 {
+			i = rng.Intn(len(es))
+		}
+		ed := es[i]
+		return ed, append(es[:i], es[i+1:]...)
+	}
+	randomBatch := func() Update {
+		var u Update
+		switch op := rng.Intn(8); {
+		case op == 0 && len(cut) > 0:
+			var ed [2]int32
+			ed, cut = pick(cut)
+			u.Add = append(u.Add, ed) // re-add a removed boot edge
+			boot = append(boot, ed)
+		case op == 1 && len(boot) > 0:
+			var ed [2]int32
+			ed, boot = pick(boot)
+			u.Remove = append(u.Remove, ed) // a net change
+			cut = append(cut, ed)
+		case op <= 4 && len(added) > 0:
+			for j := 0; j < 1+rng.Intn(2) && len(added) > 0; j++ {
+				var ed [2]int32
+				ed, added = pick(added)
+				u.Remove = append(u.Remove, ed) // take back an added copy
+			}
+		default:
+			for j := 0; j < 1+rng.Intn(3); j++ {
+				ed := [2]int32{int32(rng.Intn(n)), int32(rng.Intn(n))}
+				switch r := rng.Intn(6); {
+				case r < 4: // a parallel copy of a present edge
+					es := e.Graph().Edges()
+					ed = es[rng.Intn(len(es))]
+				case r == 4:
+					ed[1] = ed[0] // a self-loop
+				}
+				u.Add = append(u.Add, ed)
+				added = append(added, ed)
+			}
+		}
+		return u
+	}
+	for b := 0; b < 60; b++ {
+		// Stage one to three batches; the last publish folds all of them.
+		for s := 1 + rng.Intn(3); s > 0; s-- {
+			if _, err := e.Update(randomBatch(), s == 1); err != nil {
+				t.Fatalf("batch %d: %v", b, err)
+			}
+		}
+		checkBiccAnswers(t, e, b)
+	}
+	if got := e.Stats().Strategies["bicc"][StrategyPatchedDelete]; got == 0 {
+		t.Errorf("the bicc patched-delete rung never fired: %v", e.Stats().Strategies["bicc"])
+	}
+}
+
+// checkBiccAnswers compares the engine's strict bridge, articulation,
+// biconnected and 2ecc answers with bicc.Ref over its current graph: every
+// edge, every vertex and every vertex pair.
+func checkBiccAnswers(t *testing.T, e *Engine, b int) {
+	t.Helper()
+	g := e.Graph()
+	ref := bicc.NewRef(g)
+	var qs []Query
+	var want []bool
+	for i, ed := range g.Edges() {
+		if ed[0] != ed[1] {
+			qs = append(qs, Query{Kind: KindBridge, U: ed[0], V: ed[1]})
+			want = append(want, ref.BridgeSet[i])
+		}
+	}
+	for u := int32(0); int(u) < g.N(); u++ {
+		qs = append(qs, Query{Kind: KindArticulation, U: u})
+		want = append(want, ref.IsArticulation[u])
+		for v := u + 1; int(v) < g.N(); v++ {
+			qs = append(qs, Query{Kind: KindBiconnected, U: u, V: v}, Query{Kind: KindTwoEdgeConnected, U: u, V: v})
+			want = append(want, ref.SameBCC(u, v), ref.TwoEdgeCC[u] == ref.TwoEdgeCC[v])
+		}
+	}
+	for i, r := range e.Do(qs) {
+		if r.Err != "" || r.Bool == nil {
+			t.Fatalf("after batch %d: %s: no answer (error %q)", b, describe(qs[i]), r.Err)
+		}
+		if *r.Bool != want[i] {
+			t.Fatalf("after batch %d (epoch %d): %s = %v, want %v (bicc strategies %v)",
+				b, e.Stats().Epoch, describe(qs[i]), *r.Bool, want[i], e.Stats().Strategies["bicc"])
+		}
 	}
 }
