@@ -16,7 +16,7 @@ RACE_PKGS := ./internal/serve/... ./internal/store/... \
              ./internal/bicc/ ./internal/spanning/ ./internal/ldd/ \
              ./internal/graph/ ./internal/decomp/ ./internal/core/
 
-.PHONY: build test race bench bench-build bench-record bench-smoke bench-baseline bench-check fuzz-smoke lint serve smoke smoke-churn smoke-multitenant smoke-restart ci
+.PHONY: build test race bench bench-build bench-smoke bench-check fuzz-smoke lint serve smoke smoke-churn smoke-multitenant smoke-restart ci
 
 build:
 	$(GO) build ./...
@@ -48,40 +48,14 @@ bench:
 bench-build:
 	$(GO) test -run '^$$' -bench '^(BenchmarkBuild(Oracle)?|BenchmarkRepair(Chain)?|BenchmarkEngineNew|BenchmarkOverlayBuild)$$' -cpu 1,2 -count 3 ./internal/decomp/ ./internal/bicc/ ./internal/serve/ ./internal/graph/
 
-# Regenerate the committed BENCH_*.json files at the repo root: the pinned
-# engine sweep and the HTTP sweep. Graph shapes and the uniform/powerlaw asymmetric costs are
-# bit-stable across machines; churn asym fields race the rebuilder and are
-# only approximately stable; QPS/latency/alloc fields vary by host (see
-# docs/benchmark.md).
-bench-record:
-	$(GO) run ./cmd/wecbench -exp bench -benchout .
-
-# Seconds-scale version of bench-record: tiny sizes and query counts, both
-# BENCH files emitted to a scratch dir (BENCH_SMOKE_OUT overrides)
-# and schema-validated — the harness exits nonzero on a malformed document.
-# Never writes to the repo root, so the committed files stay untouched.
+# Seconds-scale smoke of the repository benchmark (perfbench/, declared in
+# BENCHMARK.json): churn-bicc drives the engine, the update ladder and the
+# durable store, http-conn the HTTP /batch path. Each workload runs twice at
+# one seed; perfbench checks every answer against a reference and exits
+# nonzero unless both runs print identical counted metrics.
 bench-smoke:
-	@out=$${BENCH_SMOKE_OUT:-$$(mktemp -d)}; \
-	$(GO) run ./cmd/wecbench -exp bench \
-	  -benchsizes 256,512 -benchqueries 768 -benchhttpqueries 768 \
-	  -benchbatch 64 -benchout $$out && ls -l $$out/BENCH_*.json
-
-# The "before" half of a before/after pair: run the pinned sweep of an
-# earlier revision from a temporary git worktree into a scratch dir, then
-# compare against it without any baseline code in the tree:
-#   make bench-baseline REV=$$(git merge-base HEAD main)
-#   go run ./cmd/wecbench -exp bench -benchout <dir> \
-#     -benchbase <baseline dir>/BENCH_query_hot_path.json
-# ARGS passes extra wecbench flags to the baseline run (e.g. smaller
-# -benchsizes); pass the same ones to the comparison run.
-bench-baseline:
-	@test -n "$(REV)" || { echo "usage: make bench-baseline REV=<rev>" >&2; exit 2; }
-	@out=$$(mktemp -d) && wt=$$(mktemp -d) && \
-	git worktree add --detach $$wt $(REV) >/dev/null && \
-	(cd $$wt && $(GO) run ./cmd/wecbench -exp bench -benchout $$out $(ARGS)); \
-	rc=$$?; git worktree remove --force $$wt; rm -rf $$wt; \
-	if [ $$rc -eq 0 ]; then echo "baseline of $(REV) written to $$out"; ls -l $$out/BENCH_*.json; fi; \
-	exit $$rc
+	bash perfbench/run.sh --determinism --workload churn-bicc --seconds 1
+	bash perfbench/run.sh --determinism --workload http-conn --seconds 1
 
 # Vet and test the benchmark module. perfbench/ is a nested Go module, so
 # the root `go vet ./...` and `go test ./...` never compile it; this is the

@@ -16,12 +16,10 @@
 // isolation, shared-pool admission control (see multitenant.go), and
 // -exp restart is the end-to-end gate on the durable store: a real
 // oracled process SIGKILL'd under churn and recovered from its -datadir
-// with reference-verified answers (see restart.go), and -exp bench is the
-// recorded-perf-trajectory harness: it sweeps graph size × query mix ×
-// workload family over the engine and HTTP surfaces and emits the
-// schema-versioned BENCH_*.json files documented in docs/benchmark.md
-// (see bench.go). None of these are part of "all" (they measure the
-// serving layer, not a paper claim).
+// with reference-verified answers (see restart.go). None of these are part
+// of "all" (they measure the serving layer, not a paper claim); the
+// repository benchmark for serving-layer performance is perfbench (see
+// docs/benchmark.md).
 package main
 
 import (
@@ -54,7 +52,6 @@ func main() {
 		"serve":       serveBench,
 		"multitenant": multitenantBench,
 		"restart":     restartBench,
-		"bench":       benchRun,
 	}
 	if *exp == "all" {
 		for _, id := range []string{"t1conn", "t1sparse", "t1bicc", "t1query",

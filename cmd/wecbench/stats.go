@@ -6,11 +6,9 @@ import (
 	"time"
 )
 
-// Shared latency-statistics helpers for the load-driving modes (-exp serve
-// and -exp bench). One nearest-rank percentile implementation lives here so
-// the two harnesses cannot drift apart on the definition — the serve mode
-// once shipped a ⌊p·n⌋-1 variant that under-reported fractional ranks, and
-// the bench mode records the same digests into BENCH_*.json files.
+// Latency-statistics helpers for the -exp serve load generator: one
+// nearest-rank percentile implementation (the serve mode once shipped a
+// ⌊p·n⌋-1 variant that under-reported fractional ranks).
 
 // latSummary digests one run's latency samples: nearest-rank percentiles
 // plus wall-clock throughput. Count is the number of queries the samples
@@ -21,14 +19,12 @@ type latSummary struct {
 	QPS   float64
 	P50   time.Duration
 	P90   time.Duration
-	P95   time.Duration
 	P99   time.Duration
 	Max   time.Duration
 }
 
 // summarize sorts samples in place and digests them. Percentiles are exact
-// (unrounded) so machine-readable consumers keep full resolution; display
-// code rounds at the formatting site.
+// (unrounded); display code rounds at the formatting site.
 func summarize(samples []time.Duration, count int64, wall time.Duration) latSummary {
 	sort.Slice(samples, func(i, j int) bool { return samples[i] < samples[j] })
 	s := latSummary{Count: count, Wall: wall}
@@ -37,7 +33,6 @@ func summarize(samples []time.Duration, count int64, wall time.Duration) latSumm
 	}
 	s.P50 = pctExact(samples, 0.50)
 	s.P90 = pctExact(samples, 0.90)
-	s.P95 = pctExact(samples, 0.95)
 	s.P99 = pctExact(samples, 0.99)
 	s.Max = pctExact(samples, 1.0)
 	return s
@@ -59,9 +54,4 @@ func pctExact(sorted []time.Duration, p float64) time.Duration {
 		i = len(sorted) - 1
 	}
 	return sorted[i]
-}
-
-// pct is pctExact rounded to 10µs for human-readable tables.
-func pct(sorted []time.Duration, p float64) time.Duration {
-	return pctExact(sorted, p).Round(10 * time.Microsecond)
 }

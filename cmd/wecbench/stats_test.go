@@ -23,12 +23,12 @@ func TestPctNearestRank(t *testing.T) {
 		{1, 0.50, 1 * time.Millisecond},
 		{2, 0.99, 2 * time.Millisecond},
 	} {
-		if got := pct(ladder(tc.n), tc.p); got != tc.want {
-			t.Errorf("pct(n=%d, p=%.2f) = %v, want %v", tc.n, tc.p, got, tc.want)
+		if got := pctExact(ladder(tc.n), tc.p); got != tc.want {
+			t.Errorf("pctExact(n=%d, p=%.2f) = %v, want %v", tc.n, tc.p, got, tc.want)
 		}
 	}
-	if got := pct(nil, 0.5); got != 0 {
-		t.Errorf("pct(empty) = %v, want 0", got)
+	if got := pctExact(nil, 0.5); got != 0 {
+		t.Errorf("pctExact(empty) = %v, want 0", got)
 	}
 }
 
@@ -52,10 +52,6 @@ func TestSummarize(t *testing.T) {
 	}
 	if s.P90 != 5*time.Millisecond || s.P99 != 5*time.Millisecond || s.Max != 5*time.Millisecond {
 		t.Errorf("tail percentiles wrong: %+v", s)
-	}
-	// 5 samples, p95: ceil(0.95*5)=5 → 5ms.
-	if s.P95 != 5*time.Millisecond {
-		t.Errorf("P95 = %v, want 5ms", s.P95)
 	}
 	// Percentiles must not be rounded (777µs survives intact).
 	odd := []time.Duration{777 * time.Microsecond}

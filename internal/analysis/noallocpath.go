@@ -8,10 +8,9 @@ import (
 
 // NoAllocPath checks functions annotated //wec:noalloc — the query hot
 // path (serve.Engine.answer and dispatch, the conn QueryS/ConnectedS pair,
-// the bicc scratch-taking queries, the decomp scratch BFS) whose
-// steady-state
-// "0 allocs/query" result is recorded in BENCH_query_hot_path.json — for
-// allocation-shaped constructs:
+// the bicc scratch-taking queries, the decomp scratch BFS), which must
+// allocate nothing per query in steady state, for allocation-shaped
+// constructs:
 //
 //   - make / new, map and slice composite literals, &composite;
 //   - append calls, unless dominated by a `len(x) < cap(x)` guard on the

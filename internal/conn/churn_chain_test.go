@@ -11,12 +11,12 @@ import (
 
 // TestMixedChurnChain is the deletion-era mirror of TestRemapChainGrowth:
 // a long chain (≥50 batches) interleaving ApplyInsertions, ApplyDeletions
-// and periodic Rebase must stay exactly equivalent to a from-scratch
+// and periodic re-bases must stay exactly equivalent to a from-scratch
 // oracle over the evolving edge multiset — partition, NumComponents — with
 // the remap table flat and bounded and the maintained forest always a
 // valid spanning forest. Deletions are drawn adversarially from the whole
 // edge list; when one genuinely splits a component the chain handles it
-// the way the serving ladder does: Rebase over the post-batch graph.
+// the way the serving ladder does: a fresh build over the post-batch graph.
 func TestMixedChurnChain(t *testing.T) {
 	base := graph.Disconnected(graph.Cycle(8), 24) // 24 islands, n=192
 	n := base.N()
@@ -60,16 +60,14 @@ func TestMixedChurnChain(t *testing.T) {
 			case errors.Is(err, ErrNeedsRebuild):
 				// The ladder's fallback: re-base onto the post-batch graph.
 				splits++
-				m, c := env(16)
-				cur = cur.Rebase(c, graph.View{G: next, M: m}, 4, 11)
+				cur = buildDyn(t, next, 4, 11)
 			default:
 				t.Fatalf("batch %d delete: %v", b, err)
 			}
 		}
 		// Scheduled re-base, like Config.RebaseEvery = 6.
 		if cur.ChainDepth() >= 6 {
-			m, c := env(16)
-			cur = cur.Rebase(c, graph.View{G: graph.FromEdges(n, edges), M: m}, 4, 11)
+			cur = buildDyn(t, graph.FromEdges(n, edges), 4, 11)
 			rebases++
 		}
 

@@ -247,8 +247,9 @@ func TestInsertionsMaintainForest(t *testing.T) {
 	checkForestSpans(t, nx2, g.N(), next.Edges())
 }
 
-// TestRebaseCollapsesChain: Rebase over the current graph resets depth and
-// remap while answering identically.
+// TestRebaseCollapsesChain: re-basing (a fresh forest-seeded build over the
+// current graph, as the serving ladder's rebased rung does) resets depth
+// and remap while answering identically.
 func TestRebaseCollapsesChain(t *testing.T) {
 	g := graph.Disconnected(graph.Cycle(8), 5)
 	o := buildDyn(t, g, 3, 9)
@@ -271,8 +272,7 @@ func TestRebaseCollapsesChain(t *testing.T) {
 	}
 
 	curG := graph.FromEdges(n, edges)
-	m, c := env(16)
-	rb := cur.Rebase(c, graph.View{G: curG, M: m}, 3, 9)
+	rb := buildDyn(t, curG, 3, 9)
 	if rb.ChainDepth() != 0 || rb.Remap() != nil {
 		t.Fatalf("rebase left depth=%d remap=%v", rb.ChainDepth(), rb.Remap())
 	}

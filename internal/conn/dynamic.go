@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/asym"
 	"repro/internal/graph"
-	"repro/internal/parallel"
 	"repro/internal/unionfind"
 )
 
@@ -34,15 +33,15 @@ import (
 // back to reconstruction, reported as the typed ErrNeedsRebuild so the
 // serving layer's strategy ladder can step down to a rebuild.
 //
-// Long patch chains are collapsed by Rebase: a fresh decomposition over the
-// current effective graph with a reseeded forest, nil remap, and chain
-// depth 0 — the re-basing the ROADMAP names, scheduled by the serving
-// layer after Config.RebaseEvery chained incremental batches.
+// Long patch chains are collapsed by re-basing: BuildOracle over the
+// current effective graph plus EnsureForest gives a fresh oracle with nil
+// remap and chain depth 0, which the serving layer schedules after
+// Config.RebaseEvery chained incremental batches.
 
 // ErrNeedsRebuild is returned by ApplyDeletions when a deletion genuinely
 // splits a component (no surviving replacement edge reconnects the two
 // sides of a cut forest edge) — the one case the label-remap oracle cannot
-// absorb incrementally and the caller must reconstruct (or Rebase).
+// absorb incrementally and the caller must reconstruct.
 var ErrNeedsRebuild = errors.New("conn: deletion splits a component, rebuild required")
 
 // ApplyInsertions returns a new Oracle that answers connectivity over the
@@ -335,18 +334,4 @@ func (o *Oracle) AdoptForest(edges [][2]int32, chainDepth int) (*Oracle, error) 
 		forest:        f,
 		chainDepth:    chainDepth,
 	}, nil
-}
-
-// Rebase collapses the oracle's remap chain onto a freshly computed
-// decomposition over the current effective graph (vw must wrap its
-// materialized graph): a full reconstruction with fresh canonical labels, a
-// nil remap table, a reseeded spanning forest, and chain depth 0. The
-// receiver keeps serving its own snapshot untouched. This is the periodic
-// re-basing the serving layer schedules after RebaseEvery chained
-// incremental batches — it pays one reconstruction to reset the remap
-// chain's per-batch copy cost and restore pristine query labels.
-func (o *Oracle) Rebase(c *parallel.Ctx, vw graph.View, k int, seed uint64) *Oracle {
-	nx := BuildOracle(c, vw, k, seed)
-	nx.EnsureForest(vw.M)
-	return nx
 }

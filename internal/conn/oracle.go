@@ -51,7 +51,7 @@ type Oracle struct {
 	forest *Forest
 	// chainDepth counts the incremental patches (ApplyInsertions /
 	// ApplyDeletions generations) separating this oracle from its last
-	// full decomposition — the remap-chain length Rebase collapses.
+	// full decomposition — the remap-chain length a re-base collapses.
 	chainDepth int
 }
 

@@ -10,10 +10,9 @@ import (
 // TestConnFastPathZeroAlloc is the runtime ground truth behind the
 // noallocpath static rule: the conn query path — Engine.answer through
 // conn's ConnectedS/QueryS with a warmed worker and label arena —
-// performs zero allocations per query. Methodology matches BENCH_query_hot_path.json
-// (GOMAXPROCS=1, omega 64, seed 7): the recorded steady-state figure there
-// is 0 allocs/query with the small remainder amortized per-batch overhead,
-// and this gate keeps it that way.
+// performs zero allocations per query (GOMAXPROCS=1, omega 64, seed 7);
+// whatever a batch allocates beyond that is amortized per-batch overhead
+// (TestDoBatchAllocBound).
 func TestConnFastPathZeroAlloc(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	g := graph.GNM(2048, 3072, 7, false)
@@ -56,8 +55,7 @@ func TestConnFastPathZeroAlloc(t *testing.T) {
 // once every cluster's local graph is cached (and with a stream of
 // never-repeating queries, so the result cache cannot answer and every
 // query exercises the oracle through the cluster cache), the fast path
-// must stay at or under 2 allocations per query. This is the runtime gate
-// behind the bicc rows of BENCH_query_hot_path.json.
+// must stay at or under 2 allocations per query.
 func TestBiccWarmPathAllocCeiling(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	// Connected cycle-plus-chords graph: no small-component path (which
@@ -111,8 +109,7 @@ func TestBiccWarmPathAllocCeiling(t *testing.T) {
 // TestDoBatchAllocBound pins the amortized per-query allocation cost of the
 // public batch path: a Do call allocates its result slice, one label arena
 // per chunk, and pool bookkeeping — constant per batch — so per query it
-// must stay far below one allocation, matching the allocs_per_query column
-// of BENCH_query_hot_path.json (~0.03 at batch size 256).
+// must stay far below one allocation (~0.03 at batch size 256).
 func TestDoBatchAllocBound(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	g := graph.GNM(2048, 3072, 7, false)

@@ -47,6 +47,7 @@ package serve
 import (
 	"errors"
 	"fmt"
+	"math"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -273,7 +274,10 @@ type AdmissionStats struct {
 	// lifetime.
 	Rejected int64 `json:"rejected"`
 	// QueueWait is the cumulative time this graph's batches spent waiting
-	// for pool worker slots.
+	// for pool worker slots. It is the wec_pool_queue_wait_seconds
+	// histogram's sum, a float64 of seconds, rounded to the nearest
+	// nanosecond: each observed batch may round the running sum by one
+	// part in 2^53, so the relative error is at most batches × 2^-53.
 	QueueWait time.Duration `json:"queue_wait_ns"`
 }
 
@@ -454,7 +458,6 @@ type Engine struct {
 	maxInflight int64
 	inflight    atomic.Int64
 	rejected    atomic.Int64
-	queueWaitNs atomic.Int64
 
 	snap atomic.Pointer[snapshot]
 
@@ -614,11 +617,11 @@ func (e *Engine) buildOracles(g *graph.Graph, withBicc bool) (co *conn.Oracle, c
 }
 
 // buildConn constructs the conn oracle over vw with its own decomposition,
-// charging vw.M: the full rung of the conn ladder. The explicit spanning
-// forest is part of the dynamic-capable oracle's construction (it is what
-// makes deletions patchable), so it is seeded here and charged to the same
-// meter — conn.BuildOracle itself stays pristine for the paper's static
-// cost bounds.
+// charging vw.M: the rebased and full rungs of the conn ladder. The
+// explicit spanning forest is part of the dynamic-capable oracle's
+// construction (it is what makes deletions patchable), so it is seeded
+// here and charged to the same meter — conn.BuildOracle itself stays
+// pristine for the paper's static cost bounds.
 func (e *Engine) buildConn(vw graph.View) *conn.Oracle {
 	o := conn.BuildOracle(parallel.NewCtx(vw.M, asym.NewSymTracker(e.sym)), vw, e.k, e.seed)
 	o.EnsureForest(vw.M)
@@ -1028,7 +1031,6 @@ func (e *Engine) DoWait(queries []Query) ([]Result, time.Duration) {
 		w.mergeInto(e)
 		e.putWorker(w)
 	})
-	e.queueWaitNs.Add(int64(wait))
 	e.met.queueWait.Observe(wait.Seconds())
 	return out, wait
 }
@@ -1103,7 +1105,7 @@ func (e *Engine) Stats() Stats {
 		MaxInflight: int(e.maxInflight),
 		Inflight:    e.inflight.Load(),
 		Rejected:    e.rejected.Load(),
-		QueueWait:   time.Duration(e.queueWaitNs.Load()),
+		QueueWait:   time.Duration(math.Round(e.met.queueWait.Sum() * 1e9)),
 	}
 	s.Pool = e.pool.Stats()
 	return s

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -11,6 +12,7 @@ import (
 	"slices"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/graph"
 )
@@ -20,7 +22,8 @@ import (
 // table hit) and a malformed query (a counted error); one published update
 // that adds and removes an edge, so rebuilds[] and both edge counters are
 // non-empty and the bicc rebuild is deferred; then one bicc-family query,
-// which forces the deferred bicc build.
+// which forces the deferred bicc build; and one /batch, which waits for
+// pool slots.
 func wireScenario(t *testing.T) *httptest.Server {
 	t.Helper()
 	g := graph.RandomRegular(200, 3, 47)
@@ -50,6 +53,9 @@ func wireScenario(t *testing.T) *httptest.Server {
 		t.Fatalf("/update: code=%d resp=%+v", code, ur)
 	}
 	query(Query{Kind: KindBridge, U: add[0], V: add[1]}, http.StatusOK)
+	if code := postJSON(t, ts.URL+"/batch", BatchRequest{Queries: []Query{{Kind: KindConnected, U: 1, V: 8}}}, nil); code != http.StatusOK {
+		t.Fatalf("/batch: code=%d", code)
+	}
 	return ts
 }
 
@@ -190,12 +196,11 @@ func TestStatsMetricsAgree(t *testing.T) {
 	// The scenario must make the comparison non-vacuous.
 	if st.LazyRebuilds != 1 || st.RebuildsAvoided == 0 || st.EdgesAdded != 1 || st.EdgesRemoved != 1 ||
 		st.Epoch != 1 || st.ResultCache.Hits == 0 || st.ClusterCache.Misses == 0 ||
-		st.Queries[string(KindComponent)].Errors != 1 {
+		st.Queries[string(KindComponent)].Errors != 1 || st.Admission.QueueWait == 0 {
 		t.Fatalf("scenario did not exercise every counter: %+v", st)
 	}
 
-	agree := func(name string, want int64, labels ...string) {
-		t.Helper()
+	sample := func(name string, labels ...string) (float64, bool) {
 		labels = append(labels, "graph", "default")
 		for _, s := range exp.Samples {
 			if s.Name != name || len(s.Labels) != len(labels)/2 {
@@ -206,13 +211,19 @@ func TestStatsMetricsAgree(t *testing.T) {
 				match = match && s.Labels[labels[i]] == labels[i+1]
 			}
 			if match {
-				if s.Value != float64(want) {
-					t.Errorf("%s%v = %v, /stats says %d", name, labels, s.Value, want)
-				}
-				return
+				return s.Value, true
 			}
 		}
-		t.Errorf("%s%v missing from /metrics", name, labels)
+		return 0, false
+	}
+	agree := func(name string, want int64, labels ...string) {
+		t.Helper()
+		v, ok := sample(name, labels...)
+		if !ok {
+			t.Errorf("%s%v missing from /metrics", name, labels)
+		} else if v != float64(want) {
+			t.Errorf("%s%v = %v, /stats says %d", name, labels, v, want)
+		}
 	}
 	for kind, ks := range st.Queries {
 		agree("wec_queries_total", ks.Count, "kind", kind)
@@ -231,5 +242,12 @@ func TestStatsMetricsAgree(t *testing.T) {
 	agree("wec_published_epoch", st.Epoch)
 	for name, ep := range st.OracleEpochs {
 		agree("wec_oracle_epoch", ep, "oracle", name)
+	}
+	// admission.queue_wait_ns is the queue-wait histogram's sum of
+	// seconds, rounded to the nanosecond.
+	if sum, ok := sample("wec_pool_queue_wait_seconds_sum"); !ok {
+		t.Errorf("wec_pool_queue_wait_seconds_sum missing from /metrics")
+	} else if got := time.Duration(math.Round(sum * 1e9)); got != st.Admission.QueueWait {
+		t.Errorf("wec_pool_queue_wait_seconds_sum = %v (%v), /stats admission.queue_wait_ns says %v", sum, got, st.Admission.QueueWait)
 	}
 }

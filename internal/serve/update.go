@@ -456,8 +456,7 @@ func (e *Engine) buildNext(cur *snapshot, batches []*updateBatch) (*snapshot, Re
 func (e *Engine) connLadder(cur *conn.Oracle, adds, removes [][2]int32, newG *graph.Graph) (*conn.Oracle, asym.Cost, string, error) {
 	m := asym.NewMeter(e.omega)
 	if e.rebaseEvery > 0 && cur.ChainDepth() >= e.rebaseEvery {
-		o := cur.Rebase(parallel.NewCtx(m, asym.NewSymTracker(e.sym)), graph.View{G: newG, M: m}, e.k, e.seed)
-		return o, m.Snapshot(), StrategyRebased, nil
+		return e.buildConn(graph.View{G: newG, M: m}), m.Snapshot(), StrategyRebased, nil
 	}
 	strategy := StrategyPatchedInsert
 	if len(removes) > 0 {
