@@ -40,13 +40,15 @@ bench:
 
 # The build curves at one and two processors: decomp.Build,
 # decomp.Repair over one 16-edge batch and over chains of 1-64 of them
-# (where a repair stops paying against Build), bicc.BuildOracle and an engine's boot build (serve.New, which shares one
-# decomposition between its two oracles), all at n = 8192, plus one
-# graph publish (graph.Overlay.Build of a 16-edge batch) at n = 8192 and
-# 65536. Charged reads and writes per op must match across -cpu settings;
-# only ns/op may differ.
+# (where a repair stops paying against Build), bicc.BuildOracle and an
+# engine's boot build (serve.New, which shares one decomposition between
+# its two oracles), all at n = 8192, plus one graph publish
+# (graph.Overlay.Build of a 16-edge batch) and one patched engine publish
+# (Engine.Update adding or removing 16 edges) at n = 8192 and 65536.
+# Charged reads and writes per op must match across -cpu settings; only
+# ns/op may differ.
 bench-build:
-	$(GO) test -run '^$$' -bench '^(BenchmarkBuild(Oracle)?|BenchmarkRepair(Chain)?|BenchmarkEngineNew|BenchmarkOverlayBuild)$$' -cpu 1,2 -count 3 ./internal/decomp/ ./internal/bicc/ ./internal/serve/ ./internal/graph/
+	$(GO) test -run '^$$' -bench '^(BenchmarkBuild(Oracle)?|BenchmarkRepair(Chain)?|BenchmarkEngineNew|BenchmarkOverlayBuild|BenchmarkPatchedUpdate)$$' -cpu 1,2 -count 3 ./internal/decomp/ ./internal/bicc/ ./internal/serve/ ./internal/graph/
 
 # Seconds-scale smoke of the repository benchmark (perfbench/, declared in
 # BENCHMARK.json): churn-bicc drives the engine, the update ladder and the
@@ -68,8 +70,10 @@ bench-check:
 # Short native fuzz runs (plain `go test` runs only the seed corpora): the
 # /batch codec against encoding/json, the bicc block solver and the whole
 # bicc oracle against Ref on small multigraphs, decomp.Repair against
-# decomp.Build on fuzzed edge batches, and graph.Overlay.Build against
-# graph.FromEdges on fuzzed multigraphs and batches. The budget is an exec count, not a duration:
+# decomp.Build on fuzzed edge batches, graph.Overlay.Build against
+# graph.FromEdges on fuzzed multigraphs and batches, and conn's
+# copy-on-write spanning forest against per-version reference forests on
+# fuzzed Link/Cut/Clone sequences. The budget is an exec count, not a duration:
 # a time-based -fuzztime can stall on a 2-vCPU machine.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzBatchDecode$$' -fuzztime 5000x ./internal/serve/
@@ -77,6 +81,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzOracle$$' -fuzztime 5000x ./internal/bicc/
 	$(GO) test -run '^$$' -fuzz '^FuzzRepair$$' -fuzztime 5000x ./internal/decomp/
 	$(GO) test -run '^$$' -fuzz '^FuzzOverlayBuild$$' -fuzztime 5000x ./internal/graph/
+	$(GO) test -run '^$$' -fuzz '^FuzzForest$$' -fuzztime 5000x ./internal/conn/
 
 # gofmt + vet + the repository's own invariant analyzers (weclint: metered
 # access, snapshot immutability, typed errors, the zero-alloc hot path,

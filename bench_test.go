@@ -1,6 +1,8 @@
 // Package repro's root benchmark harness: one benchmark per table and
-// figure of the paper (see the per-experiment index in DESIGN.md), plus the
-// ablation benches for the design choices DESIGN.md calls out.
+// figure of the paper (each benchmark's doc comment names the table,
+// figure or theorem it measures), plus ablation benches that each switch
+// off one design choice of the paper core (docs/architecture.md, "Paper
+// core").
 //
 // Every benchmark reports the cost-model metrics the paper's claims are
 // about — asymmetric writes ("writes/op") and Asymmetric-RAM work
@@ -317,7 +319,7 @@ func BenchmarkSec6DegreeBound(b *testing.B) {
 	})
 }
 
-// --- Ablations (DESIGN.md "key design decisions") ---
+// --- Ablations: each switches off one design choice of the paper core ---
 
 // BenchmarkAblationSecondary: without secondary centers (Algorithm 1 lines
 // 3-12), primary clusters blow past k — measured via max ρ0-cluster size.

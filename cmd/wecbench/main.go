@@ -1,7 +1,8 @@
 // Command wecbench regenerates the paper's evaluation: one mode per table
 // or figure of "Implicit Decomposition for Write-Efficient Connectivity
-// Algorithms" (see DESIGN.md for the experiment index and EXPERIMENTS.md
-// for recorded results).
+// Algorithms". Each mode prints its table to stdout; no results are
+// recorded in the repository, and docs/architecture.md ("Surfaces") places
+// this driver beside perfbench, which measures the serving layer.
 //
 // Usage:
 //
@@ -33,7 +34,7 @@ import (
 )
 
 func main() {
-	exp := flag.String("exp", "all", "experiment id (see DESIGN.md)")
+	exp := flag.String("exp", "all", "experiment id: a paper table (t1conn, t1sparse, t1bicc, t1query, crossover, decomp, bclabel, localgraph, beta, alg1depth, sec6, scaling), all of them (all), or serve, multitenant, restart")
 	scale := flag.Int("scale", 1, "multiply instance sizes by this factor")
 	flag.Parse()
 	runners := map[string]func(int){

@@ -160,7 +160,8 @@ func (c Cost) MarshalJSON() ([]byte, error) {
 	}{c.Omega, c.Reads, c.Writes, c.Ops, c.Work()})
 }
 
-// String formats the cost in the shape used by EXPERIMENTS.md tables.
+// String formats the cost on one line (reads, writes, ops, work and ω),
+// the form in which wecbench prints a construction cost.
 func (c Cost) String() string {
 	return fmt.Sprintf("reads=%d writes=%d ops=%d work=%d (ω=%d)",
 		c.Reads, c.Writes, c.Ops, c.Work(), c.Omega)

@@ -97,7 +97,8 @@ func (o *Oracle) ApplyInsertions(m *asym.Meter, sym *asym.SymTracker, edges [][2
 
 	// The maintained spanning forest (when present) gains every inserted
 	// edge that merges two components: the two trees were disjoint, so the
-	// merging edge links them without forming a cycle.
+	// merging edge links them without forming a cycle. The clone shares
+	// every block with the base's forest until a link touches it.
 	var forest *Forest
 	if o.forest != nil {
 		forest = o.forest.Clone()
@@ -205,7 +206,7 @@ func (o *Oracle) ApplyDeletions(m *asym.Meter, sym *asym.SymTracker, removed [][
 		}
 	}
 
-	f := o.forest.Clone()
+	f := o.forest.Clone() // copy-on-write: cuts and relinks copy only the blocks they touch
 	for _, e := range removed {
 		key := graph.NormEdge(e)
 		u, v := key[0], key[1]

@@ -1,12 +1,39 @@
 package conn
 
 import (
-	"sort"
+	"cmp"
+	"slices"
+	"sync/atomic"
 
 	"repro/internal/asym"
-	"repro/internal/graph"
 	"repro/internal/spanning"
 )
+
+// forestBlockBits is log2 of the number of consecutive vertices one
+// forest block holds: 32, the grain of graph's adjacency blocks. A clone
+// copies n/32 table words, and a link or cut copies at most two blocks.
+const (
+	forestBlockBits = 5
+	forestBlockSize = 1 << forestBlockBits
+	forestBlockMask = forestBlockSize - 1
+)
+
+// forestBlock is the forest adjacency of forestBlockSize consecutive
+// vertices, laid out like a graph block: vertex lo+i's tree neighbors are
+// adj[off[i]:off[i+1]], and offsets past the last vertex of a partial
+// block all equal len(adj). One pointer per block keeps the forest cheap
+// for the garbage collector to scan. owner is the id of the one Forest
+// that may write the block in place; every other version that points at
+// it reads it only and copies it before its first write.
+type forestBlock struct {
+	owner uint64
+	off   [forestBlockSize + 1]int32
+	adj   []int32
+}
+
+// forestIDs hands out Forest ids, the owner tags of forest blocks. Zero is
+// never handed out.
+var forestIDs atomic.Uint64
 
 // Forest is an explicit spanning forest over the vertices of a dynamic
 // connectivity oracle's graph — the structure that makes deletions cheap.
@@ -21,22 +48,26 @@ import (
 // needs no synchronization with concurrent readers. The single background
 // rebuilder of the serving layer is its only writer, and every patch works
 // on a Clone (copy-on-write snapshot discipline, like the remap table).
-// Within the asymmetric cost model the forest is an in-place structure:
-// maintenance charges O(1) writes per link/cut, and the Go-level clone is
-// an unmetered implementation detail of snapshot isolation, not a persisted
-// rewrite.
+//
+// The adjacency is stored the way graph.Graph stores its own: in blocks of
+// forestBlockSize vertices behind a table of block pointers. Clone copies
+// the table only, n/forestBlockSize pointers, and writes nothing in its
+// source; the clone's first Link or Cut in a block it does not own copies
+// that block, and every block no write touches stays shared with the
+// source. A patch therefore costs the Go runtime O(n/forestBlockSize) plus
+// the blocks its edges touch, as the cost model charges it O(1) writes per
+// link or cut. A forest that has been cloned is a published snapshot: it
+// must not be written again, since its own blocks are now shared.
 type Forest struct {
-	n int
-	// adj is the forest adjacency (tree edges only, both directions).
-	adj [][]int32
-	// set holds normalized (u <= v) forest-edge keys for O(1) membership.
-	set   map[[2]int32]bool
-	edges int
+	n      int
+	id     uint64         // owner tag of the blocks this version may write in place
+	blocks []*forestBlock // vertex v lives in blocks[v>>forestBlockBits]; nil until written
+	edges  int
 }
 
 // NewForest returns an empty forest over n vertices.
 func NewForest(n int) *Forest {
-	return &Forest{n: n, adj: make([][]int32, n), set: map[[2]int32]bool{}}
+	return &Forest{n: n, id: forestIDs.Add(1), blocks: make([]*forestBlock, (n+forestBlockMask)>>forestBlockBits)}
 }
 
 // SeedForest selects a spanning forest of the n-vertex multigraph given by
@@ -58,75 +89,106 @@ func (f *Forest) N() int { return f.n }
 // Size returns the number of forest edges.
 func (f *Forest) Size() int { return f.edges }
 
-// Has reports whether {u,v} is a forest edge.
-func (f *Forest) Has(u, v int32) bool { return f.set[graph.NormEdge([2]int32{u, v})] }
+// adj returns v's tree neighbors, read-only.
+func (f *Forest) adj(v int32) []int32 {
+	b := f.blocks[v>>forestBlockBits]
+	if b == nil {
+		return nil
+	}
+	lo, hi := b.off[v&forestBlockMask], b.off[v&forestBlockMask+1]
+	return b.adj[lo:hi:hi]
+}
+
+// own returns v's block for writing, first replacing it with a copy that
+// f owns when f does not own it, and v's slot in the block.
+func (f *Forest) own(v int32) (*forestBlock, int32) {
+	i := v >> forestBlockBits
+	switch b := f.blocks[i]; {
+	case b == nil:
+		f.blocks[i] = &forestBlock{owner: f.id}
+	case b.owner != f.id:
+		f.blocks[i] = &forestBlock{owner: f.id, off: b.off, adj: slices.Clone(b.adj)}
+	}
+	return f.blocks[i], v & forestBlockMask
+}
+
+// push appends w to slot i's neighbor list.
+func (b *forestBlock) push(i, w int32) {
+	b.adj = slices.Insert(b.adj, int(b.off[i+1]), w)
+	for j := i + 1; j <= forestBlockSize; j++ {
+		b.off[j]++
+	}
+}
+
+// drop removes w, which must be present, from slot i's neighbor list by
+// moving the list's last neighbor into its place.
+func (b *forestBlock) drop(i, w int32) {
+	lo, last := b.off[i], b.off[i+1]-1
+	b.adj[lo+int32(slices.Index(b.adj[lo:last+1], w))] = b.adj[last]
+	b.adj = slices.Delete(b.adj, int(last), int(last)+1)
+	for j := i + 1; j <= forestBlockSize; j++ {
+		b.off[j]--
+	}
+}
+
+// Has reports whether {u,v} is a forest edge, scanning the shorter of the
+// two endpoints' tree-neighbor lists.
+func (f *Forest) Has(u, v int32) bool {
+	if len(f.adj(v)) < len(f.adj(u)) {
+		u, v = v, u
+	}
+	return slices.Contains(f.adj(u), v)
+}
 
 // Link adds the forest edge {u,v}. The caller guarantees u and v are in
 // distinct trees (forests never hold cycles) and the edge is not a
 // self-loop.
 func (f *Forest) Link(u, v int32) {
-	key := graph.NormEdge([2]int32{u, v})
-	if f.set[key] {
+	if f.Has(u, v) {
 		return
 	}
-	f.set[key] = true
-	f.adj[u] = append(f.adj[u], v)
-	f.adj[v] = append(f.adj[v], u)
+	bu, i := f.own(u)
+	bu.push(i, v)
+	bv, j := f.own(v)
+	bv.push(j, u)
 	f.edges++
 }
 
 // Cut removes the forest edge {u,v}; a no-op when absent.
 func (f *Forest) Cut(u, v int32) {
-	key := graph.NormEdge([2]int32{u, v})
-	if !f.set[key] {
+	if !f.Has(u, v) {
 		return
 	}
-	delete(f.set, key)
-	f.adj[u] = dropNeighbor(f.adj[u], v)
-	f.adj[v] = dropNeighbor(f.adj[v], u)
+	bu, i := f.own(u)
+	bu.drop(i, v)
+	bv, j := f.own(v)
+	bv.drop(j, u)
 	f.edges--
 }
 
-func dropNeighbor(adj []int32, w int32) []int32 {
-	for i, x := range adj {
-		if x == w {
-			adj[i] = adj[len(adj)-1]
-			return adj[:len(adj)-1]
-		}
-	}
-	return adj
-}
-
-// Clone returns an independent copy (copy-on-write for patched oracles).
+// Clone returns a copy-on-write copy for a patched oracle: it shares every
+// block with f, copies only the block table and writes nothing in f.
 func (f *Forest) Clone() *Forest {
-	c := &Forest{n: f.n, adj: make([][]int32, f.n), set: make(map[[2]int32]bool, len(f.set)), edges: f.edges}
-	for v, a := range f.adj {
-		if len(a) > 0 {
-			c.adj[v] = append([]int32(nil), a...)
-		}
-	}
-	for k := range f.set {
-		c.set[k] = true
-	}
-	return c
+	return &Forest{n: f.n, id: forestIDs.Add(1), blocks: slices.Clone(f.blocks), edges: f.edges}
 }
 
 // EdgeList returns the forest edges, normalized and sorted — the canonical
-// form the durable store persists.
+// form the durable store persists. It walks the vertices in order and
+// emits each vertex's larger tree neighbors sorted.
 func (f *Forest) EdgeList() [][2]int32 {
 	if f.edges == 0 {
 		return nil
 	}
 	out := make([][2]int32, 0, f.edges)
-	for k := range f.set {
-		out = append(out, k)
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i][0] != out[j][0] {
-			return out[i][0] < out[j][0]
+	for v := range int32(f.n) {
+		at := len(out)
+		for _, w := range f.adj(v) {
+			if w > v {
+				out = append(out, [2]int32{v, w})
+			}
 		}
-		return out[i][1] < out[j][1]
-	})
+		slices.SortFunc(out[at:], func(a, b [2]int32) int { return cmp.Compare(a[1], b[1]) })
+	}
 	return out
 }
 
@@ -151,7 +213,7 @@ func (f *Forest) smallerSide(m *asym.Meter, u, v int32) ([]int32, map[int32]bool
 		}
 		x := w.order[w.next]
 		w.next++
-		for _, y := range f.adj[x] {
+		for _, y := range f.adj(x) {
 			m.Read(1)
 			if !w.seen[y] {
 				w.seen[y] = true

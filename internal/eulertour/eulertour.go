@@ -7,7 +7,7 @@
 // queries; this implementation substitutes binary lifting — O(n log n)
 // preprocessing writes and O(log n) query reads — which changes no
 // experiment's shape (LCA is a lower-order term everywhere it is used).
-// The substitution is recorded in DESIGN.md.
+// ensureLift's cost note says how the substitution is charged.
 package eulertour
 
 import (
@@ -111,7 +111,7 @@ func NewForest(m *asym.Meter, roots []int32, parent []int32) *Tree {
 // O(1)-query LCA structures the paper cites ([11, 42]). The implementation
 // substitutes binary lifting, whose table is n·⌈log n⌉ words; the extra
 // words are an artifact of the substitution, not of the modeled algorithm,
-// so they are not charged (recorded in DESIGN.md).
+// so they are not charged.
 //
 // Concurrency: the table is built under a sync.Once so that the first LCA
 // may safely come from one of many concurrent query goroutines (the serving

@@ -372,3 +372,38 @@ func BenchmarkEngineNew(b *testing.B) {
 	}
 	b.ReportMetric(float64(writes)/float64(b.N), "writes/op")
 }
+
+// BenchmarkPatchedUpdate times one patched publish, Engine.Update with
+// wait, on a uniform 3-regular graph (ω = 64, seed 7) with re-basing off:
+// even ops add 16 seeded edges and odd ops remove them again, so conn
+// stays on its patched-insert and patched-delete rungs. A publish should
+// cost about the same at both sizes: it copies block tables of n/32
+// pointers and the blocks the batch touches, not whole structures.
+func BenchmarkPatchedUpdate(b *testing.B) {
+	for _, n := range []int{8192, 65536} {
+		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
+			g := graph.RandomRegular(n, 3, 42)
+			e := New(g, Config{Omega: 64, Seed: 7, RebaseEvery: -1})
+			defer e.Close()
+			rng := graph.NewRNG(1)
+			var batch [][2]int32
+			for len(batch) < 16 {
+				if u, v := int32(rng.Intn(n)), int32(rng.Intn(n)); u != v {
+					batch = append(batch, [2]int32{u, v})
+				}
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				u := Update{Add: batch}
+				if i%2 == 1 {
+					u = Update{Remove: batch}
+				}
+				if _, err := e.Update(u, true); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/1e6, "ms/update")
+		})
+	}
+}

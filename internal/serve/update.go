@@ -24,7 +24,9 @@ import (
 // deletion path's replacement search need it). The graph is a blocked
 // copy-on-write structure, so that write is the block table plus the
 // blocks holding a batch endpoint; every other block is shared with the
-// current snapshot's graph. The two ladders run in parallel.
+// current snapshot's graph. conn's spanning forest is stored the same way,
+// so a patched rung copies its block table and the blocks its links and
+// cuts touch, never the whole forest. The two ladders run in parallel.
 //
 // conn (never deferred — its kinds gate admission semantics):
 //
